@@ -2,7 +2,7 @@
 //! round-trip throughput by in-flight window × shard count, with the
 //! window = 1 row as the strict call-reply (PR 4-equivalent) baseline —
 //! plus the reactor connection sweep (100/1k/10k open connections ×
-//! window {1,32}, threaded vs reactor doors), which asserts the
+//! window {1,32}), which asserts the
 //! reactor's window-32 throughput retention from 100 → 1k connections
 //! and writes the machine-readable record (`BENCH_reactor.json` at the
 //! workspace root).

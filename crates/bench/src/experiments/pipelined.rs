@@ -3,9 +3,9 @@
 //!
 //! Not a paper figure — this harness measures the v2 protocol's
 //! pipelining win over the strict call-reply baseline. The full stack
-//! runs on every op: client codec → frame → pipelined reader → ticketed
-//! runtime submission → shard actor → completion queue → drainer →
-//! frame → client codec. At `window = 1` the client degenerates to the
+//! runs on every op: client codec → frame → reactor pump → ticketed
+//! runtime submission → shard actor → completion queue → reactor
+//! harvest → frame → client codec. At `window = 1` the client degenerates to the
 //! v1 call-reply discipline (one op in flight, the PR 4-equivalent
 //! baseline); at `window ≥ 8` submission overlaps serving, so the
 //! per-op client↔server hand-off cost amortizes across the window — the
@@ -19,9 +19,9 @@ use apcache_core::Rng;
 use apcache_runtime::Runtime;
 use apcache_shard::{ShardedStore, ShardedStoreBuilder};
 use apcache_store::{Constraint, InitialWidth};
-use apcache_wire::{loopback, serve_pipelined, ClientPool, RemoteStoreClient, Ticket};
+use apcache_wire::{ClientPool, RemoteStoreClient, Ticket};
 
-use crate::experiments::common::MASTER_SEED;
+use crate::experiments::common::{serve_loopback, MASTER_SEED};
 use crate::table::{fmt_num, Table};
 
 const KEYS: u64 = 512;
@@ -52,10 +52,9 @@ fn build_fleet(shards: usize) -> ShardedStore<u64> {
 /// pipelined client against a `shards`-actor runtime over loopback.
 fn drive(shards: usize, window: usize) -> f64 {
     let runtime = Runtime::launch(build_fleet(shards)).expect("runtime launches");
-    let handle = runtime.handle();
-    let (server_end, client_end) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_end, handle).expect("serves"));
-    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::with_window(client_end, window);
+    let (reactor, mut ends) = serve_loopback(&runtime, 1);
+    let mut client: RemoteStoreClient<u64, _> =
+        RemoteStoreClient::with_window(ends.remove(0), window);
     let mut rng = Rng::seed_from_u64(MASTER_SEED ^ 0x91BE);
     let ops: Vec<(u64, f64, bool)> = (0..OPS)
         .map(|_| (rng.below(KEYS), rng.uniform(0.0, 1_000.0), rng.bernoulli(0.5)))
@@ -91,7 +90,7 @@ fn drive(shards: usize, window: usize) -> f64 {
     }
     let elapsed = started.elapsed().as_secs_f64();
     client.shutdown().expect("clean shutdown");
-    server.join().expect("server thread");
+    reactor.join();
     drop(runtime);
     OPS as f64 / elapsed
 }
@@ -174,14 +173,7 @@ fn drive_worker(client_no: usize, conn: &mut dyn Connection) {
 /// Aggregate ops/s for 8 logical clients over a pool of 2 sockets.
 fn drive_pooled() -> f64 {
     let runtime = Runtime::launch(build_fleet(POOL_SHARDS)).expect("runtime launches");
-    let mut transports = Vec::new();
-    let mut servers = Vec::new();
-    for _ in 0..POOL_SOCKETS {
-        let handle = runtime.handle();
-        let (server_end, client_end) = loopback();
-        servers.push(thread::spawn(move || serve_pipelined(server_end, handle).expect("serves")));
-        transports.push(client_end);
-    }
+    let (reactor, transports) = serve_loopback(&runtime, POOL_SOCKETS);
     let mut pool: ClientPool<u64, _> = ClientPool::with_window(transports, POOL_WINDOW);
     let started = Instant::now();
     let workers: Vec<_> = (0..POOL_LOGICAL)
@@ -195,9 +187,7 @@ fn drive_pooled() -> f64 {
     }
     let elapsed = started.elapsed().as_secs_f64();
     pool.shutdown().expect("pool drains");
-    for s in servers {
-        s.join().expect("server thread");
-    }
+    reactor.join();
     drop(runtime);
     (POOL_LOGICAL as u64 * POOL_OPS_PER_CLIENT) as f64 / elapsed
 }
@@ -205,14 +195,11 @@ fn drive_pooled() -> f64 {
 /// Aggregate ops/s for 8 logical clients with a dedicated socket each.
 fn drive_per_client_sockets() -> f64 {
     let runtime = Runtime::launch(build_fleet(POOL_SHARDS)).expect("runtime launches");
-    let mut clients = Vec::new();
-    let mut servers = Vec::new();
-    for _ in 0..POOL_LOGICAL {
-        let handle = runtime.handle();
-        let (server_end, client_end) = loopback();
-        servers.push(thread::spawn(move || serve_pipelined(server_end, handle).expect("serves")));
-        clients.push(RemoteStoreClient::<u64, _>::with_window(client_end, POOL_WINDOW));
-    }
+    let (reactor, ends) = serve_loopback(&runtime, POOL_LOGICAL);
+    let clients: Vec<_> = ends
+        .into_iter()
+        .map(|end| RemoteStoreClient::<u64, _>::with_window(end, POOL_WINDOW))
+        .collect();
     let started = Instant::now();
     let workers: Vec<_> = clients
         .into_iter()
@@ -232,9 +219,7 @@ fn drive_per_client_sockets() -> f64 {
     for client in drained {
         client.shutdown().expect("clean shutdown");
     }
-    for s in servers {
-        s.join().expect("server thread");
-    }
+    reactor.join();
     drop(runtime);
     (POOL_LOGICAL as u64 * POOL_OPS_PER_CLIENT) as f64 / elapsed
 }
@@ -249,7 +234,7 @@ pub fn run() -> Vec<Table> {
             .collect(),
     );
     table.note("50/50 read/write mix through the full pipelined stack:");
-    table.note("codec -> pipelined reader -> ticketed runtime -> drainer.");
+    table.note("codec -> reactor pump -> ticketed runtime -> reactor harvest.");
     table.note("window=1 is the strict call-reply (v1/PR 4) baseline; the");
     table.note("acceptance bar is window>=8 strictly above it per column.");
     table.note("1-core hosts amortize hand-off cost, not true parallelism.");

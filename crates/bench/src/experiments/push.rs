@@ -2,8 +2,8 @@
 //! function of subscriber count.
 //!
 //! Not a paper figure — this harness measures the v3 streaming path end
-//! to end: client write → frame → pipelined reader → shard actor
-//! (escape, refresh, registry fan-out) → drainer → one push frame per
+//! to end: client write → frame → reactor pump → shard actor (escape,
+//! refresh, registry fan-out) → reactor harvest → one push frame per
 //! subscriber → client codec → push queue. The actor queues every push
 //! *before* it sends the write's own completion, so the moment the
 //! blocking write returns, all of its pushes have crossed the wire; the
@@ -11,7 +11,6 @@
 //! acceptance bar is sub-millisecond mean latency at 100 subscribers on
 //! loopback.
 
-use std::thread;
 use std::time::Instant;
 
 use apcache_core::Rng;
@@ -19,9 +18,9 @@ use apcache_push::PushFilter;
 use apcache_runtime::Runtime;
 use apcache_shard::{ShardedStore, ShardedStoreBuilder};
 use apcache_store::InitialWidth;
-use apcache_wire::{loopback, serve_pipelined, RemoteStoreClient};
+use apcache_wire::RemoteStoreClient;
 
-use crate::experiments::common::MASTER_SEED;
+use crate::experiments::common::{serve_loopback, MASTER_SEED};
 use crate::table::{fmt_num, Table};
 
 const SUBSCRIBERS: [usize; 3] = [1, 100, 10_000];
@@ -55,10 +54,8 @@ fn build_fleet() -> ShardedStore<u64> {
 /// writes with `subscribers` push subscriptions on the hot key.
 fn drive(subscribers: usize, writes: usize) -> (f64, f64, f64) {
     let runtime = Runtime::launch(build_fleet()).expect("runtime launches");
-    let handle = runtime.handle();
-    let (server_end, client_end) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_end, handle).expect("serves"));
-    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::with_window(client_end, 64);
+    let (reactor, mut ends) = serve_loopback(&runtime, 1);
+    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::with_window(ends.remove(0), 64);
     for _ in 0..subscribers {
         client.subscribe(&0u64, PushFilter::Always, 0).expect("subscribe");
     }
@@ -80,7 +77,7 @@ fn drive(subscribers: usize, writes: usize) -> (f64, f64, f64) {
     }
 
     client.shutdown().expect("clean shutdown");
-    server.join().expect("server thread");
+    reactor.join();
     drop(runtime);
 
     lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));

@@ -1,13 +1,11 @@
 //! Reactor connection sweep: aggregate throughput by open-connection
-//! count × pipelined window, threaded door vs reactor door.
+//! count × pipelined window.
 //!
-//! Not a paper figure — this harness guards the PR that added the
-//! event-driven `apcache-reactor` serving core. The threaded door
-//! spends two OS threads per connection, so its 10k cell would mean
-//! ~20k threads and is skipped (reported as `-`); the reactor holds
-//! every cell on its fixed worker pool — the 10k cell *completing* with
-//! a bounded thread count is half the acceptance bar. The other half is
-//! retention: the reactor's window-32 throughput from 100 → 1 000 open
+//! Not a paper figure — this harness guards the event-driven
+//! `apcache-reactor` serving core. The reactor holds every cell on its
+//! fixed worker pool — the 10k cell *completing* with a bounded thread
+//! count is half the acceptance bar. The other half is retention: the
+//! reactor's window-32 throughput from 100 → 1 000 open
 //! connections must hold ≥ [`RETENTION_FLOOR`]× (asserted here, and
 //! re-checked hardware-independently by CI's perf guard from
 //! `BENCH_reactor.json`).
@@ -29,9 +27,7 @@ use apcache_reactor::{Reactor, ReactorConfig};
 use apcache_runtime::{Runtime, RuntimeConfig, DEFAULT_MAILBOX_CAPACITY};
 use apcache_shard::{ShardedStore, ShardedStoreBuilder};
 use apcache_store::{Constraint, InitialWidth};
-use apcache_wire::{
-    loopback_streams, serve_pipelined, LoopbackStream, RemoteStoreClient, StreamTransport, Ticket,
-};
+use apcache_wire::{loopback_streams, LoopbackStream, RemoteStoreClient, StreamTransport, Ticket};
 
 use crate::experiments::common::MASTER_SEED;
 use crate::table::{fmt_num, Table};
@@ -43,9 +39,6 @@ const WINDOWS: [usize; 2] = [1, 32];
 /// Client threads driving the connections (each deals ops round-robin
 /// over its share, keeping `window` tickets in flight per connection).
 const DRIVERS: usize = 8;
-/// The threaded door's two-threads-per-connection model stops being
-/// meaningful past this point (the 10k cell would be ~20k threads).
-const THREADED_MAX_CONNS: usize = 1_000;
 /// Shortest timed phase worth measuring: cells with few connections
 /// run more ops per connection to reach it. Sized so the fastest cell
 /// still times a few hundred milliseconds — the retention assert
@@ -62,8 +55,7 @@ const OPS_PER_CONN_FLOOR: u64 = 96;
 /// The 10k cells prove scale — completion with a bounded thread count —
 /// not peak rate: a short per-connection trace keeps them affordable.
 const OPS_PER_CONN_AT_10K: u64 = 8;
-/// Best-of repetitions for the reactor cells (the cells the retention
-/// assert gates on). The threaded cells are informational and run once.
+/// Best-of repetitions per cell.
 const REPS: usize = 3;
 
 /// Ops each connection issues in a cell of `conns` connections.
@@ -179,8 +171,8 @@ fn drive_all(clients: Vec<Client>, ops_per_conn: u64, window: usize) -> (f64, Ve
     (total as f64 / started.elapsed().as_secs_f64(), clients)
 }
 
-/// Reactor door: every connection is a loopback pair injected into one
-/// fixed worker pool; readiness flows through the streams' ready hooks.
+/// Every connection is a loopback pair injected into one fixed worker
+/// pool; readiness flows through the streams' ready hooks.
 /// Also returns the process thread count sampled while every connection
 /// was still open — the bound that proves no thread-per-connection.
 fn drive_reactor(conns: usize, window: usize) -> (f64, Option<u64>) {
@@ -205,31 +197,6 @@ fn drive_reactor(conns: usize, window: usize) -> (f64, Option<u64>) {
     (ops_per_sec, threads)
 }
 
-/// Threaded door: the existing two-threads-per-connection model, one
-/// `serve_pipelined` reader/drainer pair per loopback connection.
-fn drive_threaded(conns: usize, window: usize) -> f64 {
-    let runtime = launch_runtime(conns, window);
-    let mut servers = Vec::with_capacity(conns);
-    let clients: Vec<Client> = (0..conns)
-        .map(|_| {
-            let (server_end, client_end) = loopback_streams();
-            let handle = runtime.handle();
-            servers.push(thread::spawn(move || {
-                // EOF teardown is a clean exit here, not a failure.
-                let _ = serve_pipelined(StreamTransport::new(server_end), handle);
-            }));
-            RemoteStoreClient::with_window(StreamTransport::new(client_end), window)
-        })
-        .collect();
-    let (ops_per_sec, clients) = drive_all(clients, ops_per_conn(conns), window);
-    drop(clients);
-    for s in servers {
-        s.join().expect("server thread");
-    }
-    drop(runtime);
-    ops_per_sec
-}
-
 /// Threads currently in this process (Linux); `None` elsewhere.
 fn process_threads() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -238,8 +205,6 @@ fn process_threads() -> Option<u64> {
 
 /// One measured cell.
 pub struct Cell {
-    /// Which door served: `"threaded"` or `"reactor"`.
-    pub door: &'static str,
     /// Open connections held for the whole timed phase.
     pub conns: usize,
     /// Per-connection pipelined window.
@@ -250,7 +215,7 @@ pub struct Cell {
 
 /// The whole sweep plus the acceptance figures.
 pub struct Sweep {
-    /// Every measured cell, threaded first.
+    /// Every measured cell, by connection count then window.
     pub cells: Vec<Cell>,
     /// Reactor window-32 throughput ratio, 1k conns over 100 conns.
     pub retention_100_to_1k: f64,
@@ -262,19 +227,8 @@ pub struct Sweep {
 /// Run the sweep. Panics if the reactor's window-32 retention from
 /// 100 → 1k connections falls below [`RETENTION_FLOOR`].
 pub fn measure() -> Sweep {
-    let mut cells = Vec::new();
-    for &conns in &CONNS {
-        if conns > THREADED_MAX_CONNS {
-            continue;
-        }
-        for &window in &WINDOWS {
-            let ops_per_sec = drive_threaded(conns, window);
-            eprintln!("  threaded conns={conns} window={window}: {:.0} ops/s", ops_per_sec);
-            cells.push(Cell { door: "threaded", conns, window, ops_per_sec });
-        }
-    }
     let mut threads_at_10k = None;
-    let mut reactor_cells = Vec::new();
+    let mut cells = Vec::new();
     for &conns in &CONNS {
         for &window in &WINDOWS {
             if window == 32 && (conns == 100 || conns == 1_000) {
@@ -295,8 +249,8 @@ pub fn measure() -> Sweep {
                     threads_at_10k = threads;
                 }
             }
-            eprintln!("  reactor conns={conns} window={window}: {:.0} ops/s", ops_per_sec);
-            reactor_cells.push(Cell { door: "reactor", conns, window, ops_per_sec });
+            eprintln!("  conns={conns} window={window}: {:.0} ops/s", ops_per_sec);
+            cells.push(Cell { conns, window, ops_per_sec });
         }
     }
     // Retention is a ratio of two noisy measurements on a shared host:
@@ -315,12 +269,11 @@ pub fn measure() -> Sweep {
         best_1k = best_1k.max(t1k);
         retention_100_to_1k = retention_100_to_1k.max(t1k / t100);
     }
-    eprintln!("  reactor conns=100 window=32: {:.0} ops/s", best_100);
-    eprintln!("  reactor conns=1000 window=32: {:.0} ops/s", best_1k);
-    reactor_cells.push(Cell { door: "reactor", conns: 100, window: 32, ops_per_sec: best_100 });
-    reactor_cells.push(Cell { door: "reactor", conns: 1_000, window: 32, ops_per_sec: best_1k });
-    reactor_cells.sort_by_key(|c| (c.conns, c.window));
-    cells.extend(reactor_cells);
+    eprintln!("  conns=100 window=32: {:.0} ops/s", best_100);
+    eprintln!("  conns=1000 window=32: {:.0} ops/s", best_1k);
+    cells.push(Cell { conns: 100, window: 32, ops_per_sec: best_100 });
+    cells.push(Cell { conns: 1_000, window: 32, ops_per_sec: best_1k });
+    cells.sort_by_key(|c| (c.conns, c.window));
     assert!(
         retention_100_to_1k >= RETENTION_FLOOR,
         "reactor window-32 throughput retention 100->1k fell to {retention_100_to_1k:.2}x \
@@ -335,8 +288,7 @@ pub fn to_json(sweep: &Sweep) -> String {
     for (i, c) in sweep.cells.iter().enumerate() {
         let sep = if i + 1 == sweep.cells.len() { "" } else { "," };
         cells.push_str(&format!(
-            "    {{ \"door\": \"{}\", \"conns\": {}, \"window\": {}, \"ops\": {}, \"ops_per_sec\": {} }}{sep}\n",
-            c.door,
+            "    {{ \"conns\": {}, \"window\": {}, \"ops\": {}, \"ops_per_sec\": {} }}{sep}\n",
             c.conns,
             c.window,
             ops_per_conn(c.conns) * c.conns as u64,
@@ -372,14 +324,8 @@ pub fn to_json(sweep: &Sweep) -> String {
 pub fn run() -> (Table, String) {
     let sweep = measure();
     let mut table = Table::new(
-        "Reactor connection sweep: Kops/s by open connections (rows) x door/window (columns)",
-        vec![
-            "connections".into(),
-            "threaded w=1".into(),
-            "threaded w=32".into(),
-            "reactor w=1".into(),
-            "reactor w=32".into(),
-        ],
+        "Reactor connection sweep: Kops/s by open connections (rows) x window (columns)",
+        vec!["connections".into(), "w=1".into(), "w=32".into()],
     );
     table.note(format!(
         ">= {OPS_PER_CONN_FLOOR} windowed ops per connection (10k cells: {OPS_PER_CONN_AT_10K}),"
@@ -389,8 +335,7 @@ pub fn run() -> (Table, String) {
         "{DRIVERS} driver threads; every connection held open for the whole timed phase;"
     ));
     table.note("shard mailboxes provisioned for conns x window in-flight tickets per cell.");
-    table.note("threaded door = 2 OS threads per connection (10k cell skipped: ~20k threads);");
-    table.note("reactor door = fixed worker pool over loopback ready hooks, no fds.");
+    table.note("fixed worker pool over loopback ready hooks, no fds.");
     table.note(format!(
         "acceptance: reactor w=32 retention 100->1k >= {RETENTION_FLOOR}x \
          (measured {:.2}x){}",
@@ -399,21 +344,15 @@ pub fn run() -> (Table, String) {
             .threads_at_10k
             .map_or(String::new(), |n| format!("; {n} process threads during the 10k cell")),
     ));
-    let lookup = |door: &str, conns: usize, window: usize| {
+    let lookup = |conns: usize, window: usize| {
         sweep
             .cells
             .iter()
-            .find(|c| c.door == door && c.conns == conns && c.window == window)
+            .find(|c| c.conns == conns && c.window == window)
             .map_or("-".to_string(), |c| fmt_num(c.ops_per_sec / 1e3))
     };
     for &conns in &CONNS {
-        table.push_row(vec![
-            conns.to_string(),
-            lookup("threaded", conns, 1),
-            lookup("threaded", conns, 32),
-            lookup("reactor", conns, 1),
-            lookup("reactor", conns, 32),
-        ]);
+        table.push_row(vec![conns.to_string(), lookup(conns, 1), lookup(conns, 32)]);
     }
     let json = to_json(&sweep);
     (table, json)

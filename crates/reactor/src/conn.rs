@@ -1,23 +1,87 @@
 //! One event-driven connection: a state machine (`Sniff → Http |
-//! Frames → Draining → closed`) over reusable buffers, whose frame
-//! dispatch mirrors [`serve_pipelined`](apcache_wire::serve_pipelined)
-//! arm for arm — same verbs submitted, same immediate answers, same
-//! faults, same subscription bookkeeping — so the reactor door is
-//! bit-identical to the threaded door on the wire.
+//! Frames → Draining → closed`) over reusable buffers. This module is
+//! the specification of what a pipelined connection does with each
+//! frame: which verbs are submitted to the runtime's ticketed surface,
+//! which are answered on the spot, which faults pre-v3 peers get, and
+//! how subscriptions are tracked and cancelled.
+//! `tests/reactor_conformance.rs` holds it bit-identical to the same
+//! operations applied in process.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use apcache_runtime::{Outcome, RuntimeHandle, Ticket};
-use apcache_telemetry::TraceKind;
+use apcache_telemetry::{Counter, Gauge, Registry, TraceKind};
 use apcache_wire::{
-    decode_frame, encode_framed, requires_v3, split_frame, v3_fault, ConnStats, FaultKind,
-    WireError, WireFault, WireKey, WireMessage, WireRequest, WireResponse, VERSION,
+    decode_frame, encode_framed, requires_v3, split_frame, v3_fault, FaultKind, WireError,
+    WireFault, WireKey, WireMessage, WireRequest, WireResponse, VERSION,
 };
 
 use crate::buffer::{ReadBuf, WriteBuf};
 use crate::poller::Interest;
+
+/// Process-wide connection id source: the label that keys a frame
+/// connection's byte counters and in-flight gauge. Process-wide rather
+/// than per reactor so labels stay unique when several reactors share
+/// one registry.
+static CONN_IDS: AtomicU64 = AtomicU64::new(0);
+
+/// The wire-layer series one frame connection maintains on the
+/// runtime's shared registry. Frame counters split by direction; bytes
+/// and the in-flight window are additionally labeled with the
+/// connection id (ids are never reused, so a long-lived process accretes
+/// one retired series per closed frame connection — the scrape stays
+/// deterministic, just longer).
+pub(crate) struct ConnStats {
+    /// Frames decoded off this connection.
+    frames_in: Counter,
+    /// Frames shipped to this connection's peer.
+    frames_out: Counter,
+    /// Framed bytes received (length prefix included).
+    bytes_in: Counter,
+    /// Framed bytes sent (length prefix included).
+    bytes_out: Counter,
+    /// Requests submitted to the runtime but not yet answered on the
+    /// wire — the server-side view of the client's in-flight window.
+    window: Gauge,
+    /// Frames that failed to decode (fatal to their connection).
+    decode_faults: Counter,
+}
+
+impl ConnStats {
+    /// Register the series under the next process-wide `conn` id.
+    fn register(registry: &Registry) -> Self {
+        let conn = CONN_IDS.fetch_add(1, Ordering::Relaxed).to_string();
+        let frames = "Frames decoded from (dir=in) and shipped to (dir=out) pipelined peers.";
+        let bytes = "Framed bytes (length prefix included) per pipelined connection.";
+        ConnStats {
+            frames_in: registry.counter("apcache_wire_frames_total", frames, &[("dir", "in")]),
+            frames_out: registry.counter("apcache_wire_frames_total", frames, &[("dir", "out")]),
+            bytes_in: registry.counter(
+                "apcache_wire_connection_bytes_total",
+                bytes,
+                &[("conn", &conn), ("dir", "in")],
+            ),
+            bytes_out: registry.counter(
+                "apcache_wire_connection_bytes_total",
+                bytes,
+                &[("conn", &conn), ("dir", "out")],
+            ),
+            window: registry.gauge(
+                "apcache_wire_inflight",
+                "In-flight window occupancy per pipelined connection.",
+                &[("conn", &conn)],
+            ),
+            decode_faults: registry.counter(
+                "apcache_wire_decode_faults_total",
+                "Frames that failed to decode (fatal to their connection).",
+                &[],
+            ),
+        }
+    }
+}
 
 /// Where a ticket's answer goes: which connection, under which request
 /// id, encoded at which protocol version.
@@ -73,8 +137,7 @@ impl std::hash::BuildHasher for SeqHash {
 
 /// The worker-local ticket router. Single-threaded: a mapping is always
 /// inserted in the same loop iteration as its submit, strictly before
-/// any harvest — the completion-before-mapping race the threaded door
-/// solves by blocking on a channel cannot happen here.
+/// any harvest, so a completion can never arrive ahead of its mapping.
 pub(crate) type RouteMap = HashMap<Ticket, RouteEntry, SeqHash>;
 
 /// The connection lifecycle.
@@ -111,8 +174,10 @@ pub(crate) struct Conn<S> {
     /// Mapped route entries owned by this connection (subscriptions
     /// count until their `SubscriptionEnded` retires them).
     pub in_flight: usize,
-    /// The same per-connection registry series the threaded door keeps.
-    pub stats: ConnStats,
+    /// The per-connection registry series, registered when the sniff
+    /// decides `Frames` — never for an HTTP scraper, whose every scrape
+    /// would otherwise leave three dead `conn=`-labelled series behind.
+    stats: Option<ConnStats>,
     /// Whether the poller registration currently includes write
     /// interest (kept in sync by the worker; write interest is asserted
     /// only while `wr` holds unflushed bytes).
@@ -128,7 +193,8 @@ pub(crate) struct Conn<S> {
     /// readiness.
     stalled: bool,
     /// Frame/byte counts accumulated since the last
-    /// [`publish_stats`](Conn::publish_stats): the registry series are
+    /// [`publish_stats`](Conn::publish_stats) (frame connections only;
+    /// HTTP bytes are not frames and go uncounted): the registry series are
     /// per-connection atomics on cold cache lines, so the hot pump and
     /// ship paths count in plain fields (the `Conn` line is already in
     /// hand) and the worker publishes once per round per touched
@@ -149,7 +215,7 @@ pub(crate) struct Conn<S> {
 }
 
 impl<S: Read + Write> Conn<S> {
-    pub(crate) fn new(token: u64, stream: S, stats: ConnStats) -> Self {
+    pub(crate) fn new(token: u64, stream: S) -> Self {
         Conn {
             token,
             stream,
@@ -158,7 +224,7 @@ impl<S: Read + Write> Conn<S> {
             wr: WriteBuf::new(),
             subs: HashMap::new(),
             in_flight: 0,
-            stats,
+            stats: None,
             want_write: false,
             dead: false,
             acked_shutdown: false,
@@ -178,15 +244,25 @@ impl<S: Read + Write> Conn<S> {
     /// wire by less than one loop round instead of costing the pump an
     /// atomic per frame.
     pub(crate) fn publish_stats(&mut self) {
+        let Some(stats) = &self.stats else { return };
         if self.pend_frames_in > 0 {
-            self.stats.frames_in.add(std::mem::take(&mut self.pend_frames_in));
-            self.stats.bytes_in.add(std::mem::take(&mut self.pend_bytes_in));
+            stats.frames_in.add(std::mem::take(&mut self.pend_frames_in));
+            stats.bytes_in.add(std::mem::take(&mut self.pend_bytes_in));
         }
         if self.pend_frames_out > 0 {
-            self.stats.frames_out.add(std::mem::take(&mut self.pend_frames_out));
-            self.stats.bytes_out.add(std::mem::take(&mut self.pend_bytes_out));
+            stats.frames_out.add(std::mem::take(&mut self.pend_frames_out));
+            stats.bytes_out.add(std::mem::take(&mut self.pend_bytes_out));
         }
-        self.stats.window.set(self.in_flight as i64);
+        stats.window.set(self.in_flight as i64);
+    }
+
+    /// Final publish at close: flush the counts and zero the in-flight
+    /// gauge, whose series outlives the connection.
+    pub(crate) fn retire_stats(&mut self) {
+        self.publish_stats();
+        if let Some(stats) = &self.stats {
+            stats.window.set(0);
+        }
     }
 
     /// Whether the last pump stopped on an exhausted submit budget with
@@ -239,9 +315,9 @@ impl<S: Read + Write> Conn<S> {
         }
         match self.rd.fill_from(&mut self.stream) {
             Ok(eof) => self.saw_eof |= eof,
-            // A torn connection reads like an EOF: answers already in
-            // flight still execute on the actors, they just have
-            // nowhere to go — exactly the threaded door's contract.
+            // A torn connection reads like an EOF: work already
+            // submitted still executes on the actors (an accepted write
+            // is never unwound), its answers just have nowhere to go.
             Err(_) => self.saw_eof = true,
         }
         self.advance(handle, route, budget);
@@ -265,8 +341,12 @@ impl<S: Read + Write> Conn<S> {
                     // length prefix whose little-endian value for ASCII
                     // "GET " is far beyond MAX_FRAME_LEN — the two
                     // vocabularies cannot collide.
-                    self.state =
-                        if &self.rd.bytes()[..4] == b"GET " { State::Http } else { State::Frames };
+                    self.state = if &self.rd.bytes()[..4] == b"GET " {
+                        State::Http
+                    } else {
+                        self.stats = Some(ConnStats::register(handle.telemetry().registry()));
+                        State::Frames
+                    };
                 }
                 State::Http => {
                     if !self.rd.bytes().windows(4).any(|w| w == b"\r\n\r\n")
@@ -398,9 +478,14 @@ impl<S: Read + Write> Conn<S> {
                 WireRequest::Lease { key, cfg, now } => handle.submit_lease(&key, cfg, now),
                 WireRequest::ReleaseLease { key, now } => handle.submit_release_lease(&key, now),
                 WireRequest::AdvanceTime { now } => handle.submit_advance_time(now),
-                // Migration verbs are control-plane and run inline, like
-                // the threaded door: no later frame on this connection
-                // can race the export.
+                // Migration verbs are control-plane and run inline, not
+                // through the ticketed surface: pausing this
+                // connection's intake while a batch detaches means no
+                // later frame on it can race the export, and the
+                // per-shard export still queues *behind* everything
+                // already in that shard's mailbox — earlier submitted
+                // writes land before the state leaves (the
+                // drain-then-flip ordering migration needs).
                 WireRequest::KeyList => {
                     self.ship_response(
                         version,
@@ -428,8 +513,9 @@ impl<S: Read + Write> Conn<S> {
                 WireRequest::Exposition => handle.submit_exposition(),
                 WireRequest::PushStats => handle.submit_push_stats(),
                 WireRequest::Shutdown => {
-                    // Frames after a Shutdown are not served (the
-                    // threaded reader breaks here too).
+                    // Frames after a Shutdown are not served: the ack
+                    // promises the client nothing of its own is still
+                    // in flight.
                     self.enter_draining(Some((request_id, version)), handle);
                     return true;
                 }
@@ -454,7 +540,9 @@ impl<S: Read + Write> Conn<S> {
     where
         K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
     {
-        self.stats.decode_faults.inc();
+        if let Some(stats) = &self.stats {
+            stats.decode_faults.inc();
+        }
         handle.telemetry().trace().record(TraceKind::DecodeFault, 0, "", None);
         self.enter_draining(None, handle);
     }
@@ -479,8 +567,9 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// If draining with a pending `Shutdown` ack and everything in
-    /// flight has been answered, queue the `ShutdownAck` — always the
-    /// connection's last frame, exactly like the threaded drainer.
+    /// flight has been answered, queue the `ShutdownAck`. It is always
+    /// the connection's last frame: a client that has read it knows
+    /// every earlier request was answered and may close.
     pub(crate) fn maybe_ack_shutdown(&mut self) {
         if let State::Draining { ack: Some((request_id, version)) } = self.state {
             if self.in_flight == 0 {
@@ -492,7 +581,6 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Encode one completion outcome under its stored correlation.
-    /// Mirrors the threaded drainer's outcome table exactly.
     pub(crate) fn ship_outcome<K>(
         &mut self,
         outcome: Result<Outcome<K>, apcache_runtime::RuntimeError>,
@@ -535,9 +623,8 @@ impl<S: Read + Write> Conn<S> {
         self.ship(version, request_id, &msg);
     }
 
-    /// Fault every still-mapped request on this connection — the
-    /// lost-ticket fallback (`ActorGone`), same message as the threaded
-    /// drainer.
+    /// Fault one still-mapped request on this connection — the
+    /// lost-ticket fallback (`ActorGone`).
     pub(crate) fn fault_in_flight(&mut self, request_id: u64, version: u8) {
         let fault =
             WireFault::new(FaultKind::ActorGone, "the serving runtime lost this request's ticket");
@@ -556,8 +643,7 @@ impl<S: Read + Write> Conn<S> {
         self.ship(version, request_id, &WireMessage::Response(response));
     }
 
-    /// Encode one frame into the write buffer and count it — the
-    /// reactor's equivalent of the threaded door's `ship`.
+    /// Encode one frame into the write buffer and count it.
     fn ship<K>(&mut self, version: u8, request_id: u64, msg: &WireMessage<K>)
     where
         K: WireKey + Ord + Clone,
@@ -622,6 +708,5 @@ impl<S: Read + Write> Conn<S> {
             body
         );
         self.wr.extend(response.as_bytes());
-        self.pend_bytes_out += response.len() as u64;
     }
 }

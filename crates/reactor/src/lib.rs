@@ -5,20 +5,20 @@
 //! through `epoll` / `poll(2)` readiness (or a portable condvar
 //! mailbox), in front of the actor runtime's ticketed surface.
 //!
-//! The threaded door ([`serve_connections`](apcache_wire::serve_connections))
-//! spends two OS threads per connection — reader plus drainer — which
-//! tops out around the platform's thread budget long before the paper's
-//! workloads do. This crate serves the **same contract with a constant
-//! thread count**:
+//! This is the **one pipelined door** in front of a runtime: a thread
+//! pair per connection tops out around the platform's thread budget
+//! long before the paper's workloads do, so every pipelined connection
+//! — TCP or in-process — is a state machine on a fixed worker pool:
 //!
-//! * [`serve_reactor`] accepts on a listener and is bit-identical on
-//!   the wire to `serve_connections`: v1/v2/v3 version echo, pipelined
-//!   out-of-order replies, push subscriptions with per-subscription
-//!   ordering, `Unsupported` faults for pre-v3 peers, plain-HTTP
-//!   `GET /metrics` sniffed off the first four bytes, subscription
-//!   cancel on disconnect, and a bounded drain grace after the first
-//!   client `Shutdown` (`tests/reactor_conformance.rs` holds the two
-//!   doors frame-for-frame equal);
+//! * [`serve_reactor`] accepts on a listener and serves the whole wire
+//!   contract: v1/v2/v3 version echo, pipelined out-of-order replies,
+//!   push subscriptions with per-subscription ordering, `Unsupported`
+//!   faults for pre-v3 peers, plain-HTTP `GET /metrics` sniffed off the
+//!   first four bytes, subscription cancel on disconnect, and a bounded
+//!   drain grace after the first client `Shutdown`;
+//!   [`Reactor::add_connection`] serves any [`ReactorStream`] the same
+//!   way without a listener (`tests/reactor_conformance.rs` holds the
+//!   door bit-identical to the same operations applied in process);
 //! * each worker owns its connections outright — poller, buffers,
 //!   ticket routes, a private [`RuntimeHandle`](apcache_runtime::RuntimeHandle)
 //!   clone — so the whole data path is lock-free across connections and
@@ -35,7 +35,7 @@
 //!   connection bench runs in CI).
 //!
 //! The only `unsafe` in the crate is the syscall shim in its private
-//! `sys` module (five hand-declared POSIX/Linux calls; the workspace is
+//! `sys` module (ten hand-declared POSIX/Linux calls; the workspace is
 //! std-only by charter).
 //!
 //! ## Quick example

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use apcache_runtime::{Outcome, RuntimeHandle};
 use apcache_telemetry::{Counter, Gauge, TraceKind};
-use apcache_wire::{next_conn_id, ConnStats, WireError, WireKey};
+use apcache_wire::{WireError, WireKey};
 
 use crate::conn::{Conn, RouteMap, SeqHash};
 use crate::poller::{build_poller, Interest, PollEvents, Poller, PollerKind, RawFd};
@@ -83,9 +83,8 @@ impl ReactorStream for apcache_wire::LoopbackStream {
     }
 }
 
-/// Reactor tuning. The defaults serve both doors: a handful of workers,
-/// the platform's best poller, a safety-net poll timeout far below the
-/// drain grace.
+/// Reactor tuning. The defaults: a handful of workers, the platform's
+/// best poller, a safety-net poll timeout far below the drain grace.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Worker threads (each owns a poller and a share of the
@@ -97,9 +96,11 @@ pub struct ReactorConfig {
     /// cross-thread state (the stop flag, forced-close deadlines) when
     /// no event wakes it sooner. Events always wake immediately.
     pub poll_timeout: Duration,
-    /// How long draining connections get to finish their shutdown
-    /// handshakes after a stop before being force-closed — the same
-    /// grace the threaded door gives.
+    /// How long connections still open at a stop get to finish on their
+    /// own — answer what is in flight, complete their own `Shutdown`
+    /// handshakes (a `ClientPool` drains its members one after another,
+    /// so the first member's `Shutdown` must not cut the rest off) —
+    /// before being force-closed.
     pub drain_grace: Duration,
 }
 
@@ -261,7 +262,7 @@ impl<S: ReactorStream> Reactor<S> {
         Ok(Reactor { shared, workers })
     }
 
-    /// Hand one connection to the least-recently-used worker. The
+    /// Hand one connection to the next worker in round-robin order. The
     /// stream is switched to nonblocking and registered by the worker
     /// itself on its next wake-up.
     pub fn add_connection(&self, stream: S) {
@@ -354,8 +355,7 @@ fn worker_loop<K, S>(
             let marker = Arc::clone(&ready_marker);
             stream.set_ready_hook(Some(Arc::new(move || marker(token))));
             let _ = poller.register(token, stream.raw_fd(), Interest::Read);
-            let stats = ConnStats::register(handle.telemetry().registry(), next_conn_id());
-            conns.insert(token, Conn::new(token, stream, stats));
+            conns.insert(token, Conn::new(token, stream));
             counters.open.add(1);
             handle.telemetry().trace().record(TraceKind::ConnOpen, 0, "", None);
             initially_ready.push(token);
@@ -419,9 +419,10 @@ fn worker_loop<K, S>(
                 } else {
                     route.remove(&completion.ticket)
                 };
-                // Unrouted completions are orphans (a force-closed
+                // Unrouted completions are orphans (a closed
                 // connection's answers, a teardown unsubscribe's ack):
-                // dropped, like the threaded drainer drops them.
+                // their peer is gone or never asked, so they are
+                // dropped.
                 let Some(entry) = entry else { continue };
                 let Some(conn) = conns.get_mut(&entry.conn) else { continue };
                 touched.push(entry.conn);
@@ -519,8 +520,7 @@ fn worker_loop<K, S>(
             }
             let _ = poller.deregister(token, conn.stream.raw_fd());
             conn.stream.set_ready_hook(None);
-            conn.publish_stats();
-            conn.stats.window.set(0);
+            conn.retire_stats();
             counters.open.add(-1);
             handle.telemetry().trace().record(TraceKind::ConnClose, 0, "", None);
             // Cancel whatever the peer left open so the actors drop
@@ -543,15 +543,17 @@ fn worker_loop<K, S>(
 }
 
 /// Accept TCP connections on `listener` and serve each through the
-/// reactor — the event-driven sibling of
-/// [`serve_connections`](apcache_wire::serve_connections), same
-/// contract on the wire: pipelined out-of-order replies, v1/v2/v3
-/// version echo, push subscriptions, plain-HTTP `GET /metrics` sniffed
-/// off the first bytes, and the first client `Shutdown` stopping the
-/// accept loop with a bounded drain grace for its siblings. The
-/// difference is purely mechanical: a fixed worker pool multiplexes
-/// every connection instead of two threads per connection, so the same
-/// process holds 10k+ connections open.
+/// reactor — the cross-process face of the actor runtime: pipelined
+/// out-of-order replies, v1/v2/v3 version echo, push subscriptions,
+/// plain-HTTP `GET /metrics` sniffed off the first bytes, and the first
+/// client `Shutdown` stopping the accept loop with a bounded drain
+/// grace for its siblings (connections still open after the grace —
+/// idle peers included — are force-closed and counted in
+/// `apcache_wire_forced_closes_total`). A fixed worker pool multiplexes
+/// every connection, so one process holds 10k+ connections open.
+///
+/// Accepted sockets are served as accepted: `TCP_NODELAY` is **not**
+/// set on them (see the README's note on the gap).
 pub fn serve_reactor<K>(
     listener: TcpListener,
     handle: RuntimeHandle<K>,

@@ -8,7 +8,10 @@
 //!
 //! Declarations are hand-written against the stable Linux/POSIX ABI
 //! instead of pulling in the `libc` crate: the workspace is std-only by
-//! charter, and the surface is five syscalls.
+//! charter, and the surface is ten calls. Every `unsafe` block below is
+//! one foreign call; the invariants they lean on (fds owned by
+//! [`OwnedFd`], pointer/length pairs taken from live slices) are set up
+//! by the safe code in this module, whose fd fields are private.
 
 #![allow(unsafe_code)]
 
@@ -48,7 +51,11 @@ pub const POLLHUP: i16 = 0x010;
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn pipe(fds: *mut c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+    // Variadic in C. Declaring the third argument as a fixed parameter
+    // is wrong on ABIs that pass variadic arguments differently from
+    // named ones (aarch64 Apple passes them on the stack): the flag
+    // would never reach the kernel.
+    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -69,6 +76,9 @@ const O_NONBLOCK: c_int = 0x4;
 #[cfg(unix)]
 pub fn sys_poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
+        // SAFETY: the pointer/length pair comes from one live, exclusively
+        // borrowed slice of `repr(C)` `PollFd`s, which the kernel reads
+        // and writes (`revents`) only within that length.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
         if rc >= 0 {
             return Ok(rc as usize);
@@ -93,11 +103,16 @@ pub struct SelfPipe {
 impl SelfPipe {
     pub fn new() -> io::Result<Self> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `pipe` writes exactly two `c_int`s; `fds` is a live
+        // array of exactly two.
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
         let (reader, writer) = (OwnedFd(fds[0]), OwnedFd(fds[1]));
         for fd in [reader.0, writer.0] {
+            // SAFETY: `fd` is an open descriptor owned by the `OwnedFd`s
+            // just built; `F_SETFL` takes one `c_int` argument, which
+            // is what is passed.
             if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -113,6 +128,8 @@ impl SelfPipe {
     /// that is success, not an error, so `EAGAIN` is swallowed.
     pub fn wake(&self) {
         let byte = 1u8;
+        // SAFETY: the fd is open for as long as `self.writer` lives, and
+        // the buffer is one live byte with a matching count of 1.
         unsafe { write(self.writer.0, (&byte as *const u8).cast(), 1) };
     }
 
@@ -120,6 +137,8 @@ impl SelfPipe {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: the fd is open for as long as `self.reader` lives,
+            // and the pointer/length pair is the live local `buf`.
             let n = unsafe { read(self.reader.0, buf.as_mut_ptr().cast(), buf.len()) };
             if n <= 0 {
                 return;
@@ -143,6 +162,9 @@ impl OwnedFd {
 #[cfg(unix)]
 impl Drop for OwnedFd {
     fn drop(&mut self) {
+        // SAFETY: `self.0` is a descriptor this value owns exclusively
+        // (constructed only from a fresh `pipe`/`epoll_create1`/`eventfd`
+        // result, never cloned), so it is open and closed exactly once.
         unsafe { close(self.0) };
     }
 }
@@ -200,6 +222,7 @@ pub struct Epoll(OwnedFd);
 #[cfg(target_os = "linux")]
 impl Epoll {
     pub fn new() -> io::Result<Self> {
+        // SAFETY: takes no pointers; a negative return is handled below.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -211,6 +234,10 @@ impl Epoll {
         let mut event = EpollEvent { events, data };
         let event_ptr =
             if op == EPOLL_CTL_DEL { std::ptr::null_mut() } else { (&mut event) as *mut _ };
+        // SAFETY: the epoll fd is owned by `self.0`; `event_ptr` is null
+        // (allowed for `EPOLL_CTL_DEL`) or points at the live local
+        // `event`, which the kernel copies before returning. A stale or
+        // foreign `fd` argument is an `EBADF`/`ENOENT` error, not UB.
         if unsafe { epoll_ctl(self.0.raw(), op, fd, event_ptr) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -233,6 +260,9 @@ impl Epoll {
     /// timeout (the reactor's safety-net timeout makes exactness moot).
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: the epoll fd is owned by `self.0`; the pointer and
+            // `maxevents` come from one live, exclusively borrowed slice,
+            // so the kernel writes at most `events.len()` entries.
             let rc = unsafe {
                 epoll_wait(self.0.raw(), events.as_mut_ptr(), events.len() as c_int, timeout_ms)
             };
@@ -260,6 +290,7 @@ pub struct EventFd(OwnedFd);
 #[cfg(target_os = "linux")]
 impl EventFd {
     pub fn new() -> io::Result<Self> {
+        // SAFETY: takes no pointers; a negative return is handled below.
         let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -273,11 +304,15 @@ impl EventFd {
 
     pub fn wake(&self) {
         let one = 1u64.to_ne_bytes();
+        // SAFETY: the fd is owned by `self.0`; the buffer is the live
+        // 8-byte array an eventfd write requires, with a count of 8.
         unsafe { write(self.0.raw(), one.as_ptr().cast(), 8) };
     }
 
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: the fd is owned by `self.0`; the buffer is a live
+        // 8-byte array and the count is 8.
         unsafe { read(self.0.raw(), buf.as_mut_ptr().cast(), 8) };
     }
 }

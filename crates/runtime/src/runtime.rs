@@ -999,10 +999,8 @@ impl<K: Hash + Ord + Clone + Send + Sync + 'static> RuntimeHandle<K> {
     /// renders now (on the submitting thread) and settles the returned
     /// ticket immediately with [`Outcome::Exposition`]. The internal
     /// metrics/push-stats gathers run on a scratch handle clone so their
-    /// waits never race whichever thread harvests *this* handle's queue —
-    /// pipelined servers split exactly that way (reader submits, a
-    /// drainer harvests), and a scrape must not steal the drainer's
-    /// completions.
+    /// waits never touch *this* handle's queue, which a pipelined server
+    /// is harvesting for its connections.
     pub fn submit_exposition(&self) -> Result<Ticket, RuntimeError> {
         let scratch = self.clone();
         let metrics = scratch.metrics()?;

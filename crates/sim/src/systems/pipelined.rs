@@ -4,7 +4,7 @@
 //! Where [`RemoteAdaptiveSystem`](super::RemoteAdaptiveSystem) speaks
 //! strict call-reply to a sequential `StoreServer`, this system runs the
 //! full pipelined stack: a [`Runtime`] (one actor per shard) fronted by
-//! [`serve_pipelined`] over an in-process loopback transport, with the
+//! a [`Reactor`] over an in-process loopback transport, with the
 //! simulator's tick updates **submitted as a window of tickets** and
 //! harvested out of order — every update and query still crosses the
 //! codec, but requests overlap on the connection and on the shard actors
@@ -12,16 +12,15 @@
 //! bit-identical to [`ShardedAdaptiveSystem`](super::ShardedAdaptiveSystem)
 //! (`build_pipelined_simulation` forks RNG streams in the same order).
 
-use std::thread;
-
 use apcache_core::cost::CostModel;
 use apcache_core::{Interval, Key, Rng, TimeMs};
+use apcache_reactor::{Reactor, ReactorConfig};
 use apcache_runtime::Runtime;
 use apcache_shard::ShardedStore;
 use apcache_store::Constraint;
 use apcache_wire::{
-    loopback, serve_pipelined, ClientPool, LoopbackTransport, PooledClient, RemoteError,
-    RemoteStoreClient, ServerExit,
+    loopback, ClientPool, LoopbackStream, LoopbackTransport, PooledClient, RemoteError,
+    RemoteStoreClient,
 };
 use apcache_workload::query::GeneratedQuery;
 
@@ -77,7 +76,7 @@ enum ClientSide {
 pub struct PipelinedRemoteSystem {
     client: Option<ClientSide>,
     runtime: Option<Runtime<Key>>,
-    servers: Vec<thread::JoinHandle<Result<ServerExit, SimError>>>,
+    reactor: Option<Reactor<LoopbackStream>>,
     cost: CostModel,
 }
 
@@ -87,9 +86,9 @@ fn remote_error(e: RemoteError) -> SimError {
 }
 
 impl PipelinedRemoteSystem {
-    /// Build the fleet, launch the actor runtime, put one pipelined
-    /// server per socket in front of it, and connect the client side —
-    /// a dedicated windowed client, or a pool of member sockets.
+    /// Build the fleet, launch the actor runtime, put one reactor in
+    /// front of it serving every socket, and connect the client side — a
+    /// dedicated windowed client, or a pool of member sockets.
     pub fn new(
         cfg: &PipelinedSystemConfig,
         initial_values: &[f64],
@@ -99,20 +98,13 @@ impl PipelinedRemoteSystem {
         let cost = *store.cost_model();
         let runtime = Runtime::launch(store)
             .map_err(|e| SimError::Config(format!("runtime launch failed: {e}")))?;
+        let reactor = Reactor::launch(&runtime.handle(), ReactorConfig::default())
+            .map_err(|e| SimError::Config(format!("reactor launch failed: {e}")))?;
         let sockets = cfg.pool_sockets.max(1);
-        let mut servers = Vec::with_capacity(sockets);
         let mut transports = Vec::with_capacity(sockets);
-        for i in 0..sockets {
-            let handle = runtime.handle();
+        for _ in 0..sockets {
             let (server_end, client_end) = loopback();
-            let server = thread::Builder::new()
-                .name(format!("apcache-wire-pipelined-sim-{i}"))
-                .spawn(move || {
-                    serve_pipelined(server_end, handle)
-                        .map_err(|e| SimError::Config(format!("pipelined serving failed: {e}")))
-                })
-                .map_err(|e| SimError::Config(format!("failed to spawn server thread: {e}")))?;
-            servers.push(server);
+            reactor.add_connection(server_end.into_inner());
             transports.push(client_end);
         }
         let client = if cfg.pool_sockets == 0 {
@@ -123,7 +115,12 @@ impl PipelinedRemoteSystem {
             let handles = (0..cfg.pool_sockets * POOL_FANOUT).map(|_| pool.handle()).collect();
             ClientSide::Pooled { pool, handles }
         };
-        Ok(PipelinedRemoteSystem { client: Some(client), runtime: Some(runtime), servers, cost })
+        Ok(PipelinedRemoteSystem {
+            client: Some(client),
+            runtime: Some(runtime),
+            reactor: Some(reactor),
+            cost,
+        })
     }
 
     fn client(&mut self) -> &mut ClientSide {
@@ -140,11 +137,7 @@ impl PipelinedRemoteSystem {
                 pool.shutdown().map_err(remote_error)?;
             }
         }
-        for server in self.servers.drain(..) {
-            let exit =
-                server.join().map_err(|_| SimError::Config("server thread panicked".into()))??;
-            debug_assert_eq!(exit, ServerExit::Shutdown);
-        }
+        self.reactor.take().expect("reactor present").join();
         let runtime = self.runtime.take().expect("runtime present");
         runtime.into_store().map_err(|e| SimError::Config(format!("runtime drain failed: {e}")))
     }
@@ -153,12 +146,12 @@ impl PipelinedRemoteSystem {
 impl Drop for PipelinedRemoteSystem {
     fn drop(&mut self) {
         // An abandoned system still hangs up: dropping the client side
-        // closes every loopback, each pipelined reader sees a clean
-        // disconnect, the drainers follow, and the runtime joins its
+        // closes every loopback, the reactor sees each connection's EOF
+        // and closes it, its workers join, and the runtime joins its
         // actors.
         drop(self.client.take());
-        for server in self.servers.drain(..) {
-            let _ = server.join();
+        if let Some(reactor) = self.reactor.take() {
+            reactor.join();
         }
         drop(self.runtime.take());
     }

@@ -17,17 +17,15 @@
 //! holds the system to that.
 
 use std::collections::HashMap;
-use std::thread;
 
 use apcache_core::cost::CostModel;
 use apcache_core::{Interval, Key, Rng, TimeMs};
 use apcache_push::{PushEvent, PushFilter};
+use apcache_reactor::{Reactor, ReactorConfig};
 use apcache_runtime::Runtime;
 use apcache_shard::ShardedStore;
 use apcache_store::{Answer, Constraint};
-use apcache_wire::{
-    loopback, serve_pipelined, LoopbackTransport, RemoteError, RemoteStoreClient, ServerExit,
-};
+use apcache_wire::{loopback, LoopbackStream, LoopbackTransport, RemoteError, RemoteStoreClient};
 use apcache_workload::query::GeneratedQuery;
 
 use crate::config::SimConfig;
@@ -44,7 +42,7 @@ use crate::systems::pipelined::PipelinedSystemConfig;
 pub struct PushMirrorSystem {
     client: Option<RemoteStoreClient<Key, LoopbackTransport>>,
     runtime: Option<Runtime<Key>>,
-    server: Option<thread::JoinHandle<Result<ServerExit, SimError>>>,
+    reactor: Option<Reactor<LoopbackStream>>,
     cost: CostModel,
     /// Push-fed replica of every cached interval.
     mirror: HashMap<Key, Interval>,
@@ -68,15 +66,10 @@ impl PushMirrorSystem {
         let cost = *store.cost_model();
         let runtime = Runtime::launch(store)
             .map_err(|e| SimError::Config(format!("runtime launch failed: {e}")))?;
-        let handle = runtime.handle();
+        let reactor = Reactor::launch(&runtime.handle(), ReactorConfig::default())
+            .map_err(|e| SimError::Config(format!("reactor launch failed: {e}")))?;
         let (server_end, client_end) = loopback();
-        let server = thread::Builder::new()
-            .name("apcache-wire-push-sim".into())
-            .spawn(move || {
-                serve_pipelined(server_end, handle)
-                    .map_err(|e| SimError::Config(format!("pipelined serving failed: {e}")))
-            })
-            .map_err(|e| SimError::Config(format!("failed to spawn server thread: {e}")))?;
+        reactor.add_connection(server_end.into_inner());
         let mut client = RemoteStoreClient::with_window(client_end, cfg.window);
         let mut mirror = HashMap::with_capacity(initial_values.len());
         for i in 0..initial_values.len() {
@@ -88,7 +81,7 @@ impl PushMirrorSystem {
         Ok(PushMirrorSystem {
             client: Some(client),
             runtime: Some(runtime),
-            server: Some(server),
+            reactor: Some(reactor),
             cost,
             mirror,
             applied: 0,
@@ -151,10 +144,7 @@ impl PushMirrorSystem {
     pub fn shutdown(mut self) -> Result<ShardedStore<Key>, SimError> {
         let client = self.client.take().expect("shutdown runs once");
         client.shutdown().map_err(remote_error)?;
-        let server = self.server.take().expect("server thread present");
-        let exit =
-            server.join().map_err(|_| SimError::Config("server thread panicked".into()))??;
-        debug_assert_eq!(exit, ServerExit::Shutdown);
+        self.reactor.take().expect("reactor present").join();
         let runtime = self.runtime.take().expect("runtime present");
         runtime.into_store().map_err(|e| SimError::Config(format!("runtime drain failed: {e}")))
     }
@@ -163,10 +153,10 @@ impl PushMirrorSystem {
 impl Drop for PushMirrorSystem {
     fn drop(&mut self) {
         // Hanging up drops the subscriptions with the connection; the
-        // server cancels them before its drainer retires.
+        // reactor cancels them when it sees the EOF.
         drop(self.client.take());
-        if let Some(server) = self.server.take() {
-            let _ = server.join();
+        if let Some(reactor) = self.reactor.take() {
+            reactor.join();
         }
         drop(self.runtime.take());
     }

@@ -636,8 +636,9 @@ impl<K: WireKey + Ord + Clone, T: Transport> RemoteStoreClient<K, T> {
     ///
     /// The transport is torn down on **every** path — acknowledged, drain
     /// failure, or a dead peer — so a failed shutdown can never leak a
-    /// live connection: `serve_connections`' teardown joins its
-    /// connection threads and relies on each one seeing EOF.
+    /// live connection: the server closes a connection cleanly only
+    /// once it has seen EOF (anything still open at teardown is
+    /// force-closed after the drain grace).
     pub fn shutdown(mut self) -> Result<(), RemoteError> {
         let result = self.try_shutdown();
         // `self` (and with it the transport) drops here whatever

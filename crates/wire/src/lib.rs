@@ -32,17 +32,19 @@
 //!   [`Ticket`]; up to a window of requests ride the
 //!   connection at once and are harvested out of order with `wait_*`
 //!   (the blocking verbs are submit + wait). [`StoreServer`] fronts a
-//!   [`PrecisionStore`](apcache_store::PrecisionStore), a
-//!   [`ShardedStore`](apcache_shard::ShardedStore), or a live
-//!   [`RuntimeHandle`](apcache_runtime::RuntimeHandle) behind the same
-//!   [`StoreService`] trait (in-order dispatch), while
-//!   [`serve_pipelined`] / [`serve_connections`] front the runtime's
-//!   ticketed surface and reply **out of order** as the shard actors
-//!   finish — and, since v3, multiplex **server-initiated push frames**
-//!   onto the same connection: `subscribe` opens a stream of
-//!   [`PushEvent`](apcache_push::PushEvent)s for one key, delivered by
-//!   the drainer thread the moment the shard's cached interval changes
-//!   (or a TTL lease lapses). v3 also carries the **lease verbs**
+//!   [`PrecisionStore`](apcache_store::PrecisionStore) or a
+//!   [`ShardedStore`](apcache_shard::ShardedStore) behind the
+//!   [`StoreService`] trait: a no-runtime, in-order, call-reply loop —
+//!   the *reference* the conformance suites diff the pipelined stack
+//!   against. A live runtime is served by the `apcache-reactor` crate
+//!   (`serve_reactor` over TCP, `Reactor::add_connection` in process),
+//!   the one pipelined door: it fronts the runtime's ticketed surface,
+//!   replies **out of order** as the shard actors finish, and, since
+//!   v3, multiplexes **server-initiated push frames** onto the same
+//!   connection: `subscribe` opens a stream of
+//!   [`PushEvent`](apcache_push::PushEvent)s for one key, delivered the
+//!   moment the shard's cached interval changes (or a TTL lease
+//!   lapses). v3 also carries the **lease verbs**
 //!   (`Lease` / `ReleaseLease` / `AdvanceTime`) and the **migration
 //!   surface** (`KeyList` / `ExportKeys` / `ImportKeys`): a remote
 //!   server is a full [`ShardBackend`](apcache_shard::ShardBackend), so
@@ -107,10 +109,7 @@ pub use message::{
     WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION, VERSION_V1, VERSION_V2,
 };
 pub use pool::{ClientPool, PooledClient};
-pub use server::{
-    next_conn_id, requires_v3, serve_connections, serve_pipelined, v3_fault, ConnStats, ServerExit,
-    StoreServer, StoreService,
-};
+pub use server::{requires_v3, v3_fault, ServerExit, StoreServer, StoreService};
 pub use transport::{
     frame_bytes, loopback, loopback_streams, split_frame, LoopbackStream, LoopbackTransport,
     SplitStream, StreamTransport, TcpTransport, Transport, MAX_FRAME_LEN,

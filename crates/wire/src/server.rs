@@ -2,28 +2,22 @@
 //! workspace's store façades and a [`StoreServer`] loop that decodes
 //! requests off a [`Transport`], dispatches them, and ships outcomes back.
 
-use std::collections::HashMap;
 use std::hash::Hash;
-use std::net::TcpListener;
-use std::thread;
 
 use apcache_core::{Interval, TimeMs};
-use apcache_push::{LeaseConfig, PushReport};
 use apcache_queries::AggregateKind;
-use apcache_runtime::RuntimeHandle;
 use apcache_shard::ShardedStore;
 use apcache_store::{Constraint, KeyState, PrecisionStore, ReadResult, StoreMetrics, WriteOutcome};
-use apcache_telemetry::{Counter, Gauge, Registry, TraceKind};
 
 use crate::codec::WireKey;
 use crate::error::{WireError, WireFault};
 use crate::message::{decode_frame, versioned_to_vec, WireMessage, WireRequest, WireResponse};
-use crate::transport::{SplitStream, StreamTransport, TcpTransport, Transport};
+use crate::transport::Transport;
 
 /// The four serving verbs plus metrics, as a trait so one server loop can
-/// front any of the workspace's store layers: a single
-/// [`PrecisionStore`], a [`ShardedStore`] fleet, or a live
-/// [`RuntimeHandle`] into the actor runtime.
+/// front either of the workspace's runtime-less store layers: a single
+/// [`PrecisionStore`] or a [`ShardedStore`] fleet. (A live runtime is
+/// served by `apcache-reactor`, through its ticketed surface.)
 ///
 /// Errors are returned pre-projected as [`WireFault`]s — the server ships
 /// them to the client verbatim.
@@ -56,30 +50,16 @@ pub trait StoreService<K> {
     /// multi-shard services).
     fn metrics(&mut self) -> Result<StoreMetrics<K>, WireFault>;
 
+    /// Render the service's [`StoreMetrics`] rollup as a
+    /// Prometheus-style text exposition.
+    fn exposition(&mut self) -> Result<String, WireFault>;
+
     // -----------------------------------------------------------------
-    // v3 vocabulary, defaulted: a service that has no lease table or
-    // migration surface answers with a stable Unsupported fault instead
-    // of failing to compile. Overriders: the runtime handle (all six),
-    // the plain store (the migration trio).
+    // v3 migration vocabulary, defaulted: a service without that
+    // surface (the sharded fleet — its ring migrates keys itself)
+    // answers with a stable Unsupported fault instead of failing to
+    // compile. The plain store overrides all three.
     // -----------------------------------------------------------------
-
-    /// Grant (or refresh) a TTL lease on `key`; `true` means active.
-    fn lease(&mut self, key: &K, cfg: LeaseConfig, now: TimeMs) -> Result<bool, WireFault> {
-        let _ = (key, cfg, now);
-        Err(unsupported("TTL leases"))
-    }
-
-    /// Release the lease on `key`, returning whether one existed.
-    fn release_lease(&mut self, key: &K, now: TimeMs) -> Result<bool, WireFault> {
-        let _ = (key, now);
-        Err(unsupported("TTL leases"))
-    }
-
-    /// Advance the push-side logical clock and report occupancy.
-    fn advance_time(&mut self, now: TimeMs) -> Result<PushReport, WireFault> {
-        let _ = now;
-        Err(unsupported("push-side time advance"))
-    }
 
     /// Every key this service serves, in a deterministic order.
     fn key_list(&mut self) -> Result<Vec<K>, WireFault> {
@@ -99,19 +79,6 @@ pub trait StoreService<K> {
         let _ = states;
         Err(unsupported("key migration"))
     }
-
-    /// Render the service's full Prometheus-style text exposition. Plain
-    /// stores render their [`StoreMetrics`] rollup; the runtime handle
-    /// adds push occupancy, per-verb latency histograms, and every wire
-    /// series registered on its shared registry.
-    fn exposition(&mut self) -> Result<String, WireFault> {
-        Err(unsupported("metrics exposition"))
-    }
-
-    /// Snapshot push-side occupancy without advancing the logical clock.
-    fn push_stats(&mut self) -> Result<PushReport, WireFault> {
-        Err(unsupported("push-side statistics"))
-    }
 }
 
 /// The stable fault for a verb this service does not implement.
@@ -127,8 +94,9 @@ fn unsupported(what: &str) -> WireFault {
 /// bodies, so the *server* gates: pre-v3 peers get the same stable
 /// `Unsupported` fault subscriptions already get, never a response frame
 /// their decoder lacks. (`Subscribe` is gated separately: its refusal
-/// message names the pipelined requirement.) Public so every server door
-/// — threaded or reactor — applies the identical gate.
+/// message names the pipelined requirement.) Public so both dispatchers —
+/// [`StoreServer::serve`] and the reactor's connection state machine —
+/// apply the identical gate.
 pub fn requires_v3<K>(request: &WireRequest<K>) -> bool {
     matches!(
         request,
@@ -258,74 +226,6 @@ impl<K: Hash + Ord + Clone> StoreService<K> for ShardedStore<K> {
     }
 }
 
-impl<K: Hash + Ord + Clone + Send + Sync + 'static> StoreService<K> for RuntimeHandle<K> {
-    fn read(
-        &mut self,
-        key: &K,
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<ReadResult, WireFault> {
-        RuntimeHandle::read(self, key, constraint, now).map_err(Into::into)
-    }
-
-    fn write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        RuntimeHandle::write(self, key, value, now).map_err(Into::into)
-    }
-
-    fn write_batch(&mut self, items: &[(K, f64)], now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        RuntimeHandle::write_batch(self, items, now).map_err(Into::into)
-    }
-
-    fn aggregate(
-        &mut self,
-        kind: AggregateKind,
-        keys: &[K],
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<(Interval, Vec<K>), WireFault> {
-        RuntimeHandle::aggregate(self, kind, keys, constraint, now)
-            .map(|out| (out.answer, out.refreshed))
-            .map_err(Into::into)
-    }
-
-    fn metrics(&mut self) -> Result<StoreMetrics<K>, WireFault> {
-        RuntimeHandle::metrics(self).map(|m| m.merged().clone()).map_err(Into::into)
-    }
-
-    fn lease(&mut self, key: &K, cfg: LeaseConfig, now: TimeMs) -> Result<bool, WireFault> {
-        // A granted (or refreshed) lease is active by definition.
-        RuntimeHandle::lease(self, key, cfg, now).map(|()| true).map_err(Into::into)
-    }
-
-    fn release_lease(&mut self, key: &K, now: TimeMs) -> Result<bool, WireFault> {
-        RuntimeHandle::release_lease(self, key, now).map_err(Into::into)
-    }
-
-    fn advance_time(&mut self, now: TimeMs) -> Result<PushReport, WireFault> {
-        RuntimeHandle::advance_time(self, now).map_err(Into::into)
-    }
-
-    fn key_list(&mut self) -> Result<Vec<K>, WireFault> {
-        Ok(self.sorted_keys())
-    }
-
-    fn export_keys(&mut self, keys: &[K]) -> Result<Vec<KeyState<K>>, WireFault> {
-        self.export_key_states(keys).map_err(Into::into)
-    }
-
-    fn import_keys(&mut self, states: Vec<KeyState<K>>) -> Result<(), WireFault> {
-        self.import_key_states(states).map_err(Into::into)
-    }
-
-    fn exposition(&mut self) -> Result<String, WireFault> {
-        self.render_exposition().map_err(Into::into)
-    }
-
-    fn push_stats(&mut self) -> Result<PushReport, WireFault> {
-        RuntimeHandle::push_stats(self).map_err(Into::into)
-    }
-}
-
 /// Why a serving loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerExit {
@@ -339,9 +239,8 @@ pub enum ServerExit {
 /// frame, dispatch it, encode the outcome, repeat.
 ///
 /// One server can serve several connections *sequentially* (call
-/// [`serve`](StoreServer::serve) again with the next transport); for
-/// concurrent connections clone a [`RuntimeHandle`] per connection and
-/// run one `StoreServer` each — see [`serve_connections`].
+/// [`serve`](StoreServer::serve) again with the next transport);
+/// concurrent, pipelined connections are `apcache-reactor`'s job.
 #[derive(Debug)]
 pub struct StoreServer<S> {
     service: S,
@@ -372,9 +271,8 @@ impl<S> StoreServer<S> {
     /// that pushes a deep window of large frames without draining
     /// responses can fill both sockets' kernel buffers and deadlock the
     /// pair (each side blocked in `send`, neither reading). Windowed
-    /// clients should talk to [`serve_pipelined`] /
-    /// [`serve_connections`], whose split reader/writer threads keep
-    /// both directions moving and reply out of order.
+    /// clients should talk to `apcache-reactor`, which never stops
+    /// reading while it writes and replies out of order.
     ///
     /// Malformed frames are fatal to the *connection* (after a framing
     /// error the byte stream cannot be trusted), but dispatch-level
@@ -457,8 +355,8 @@ impl<S> StoreServer<S> {
                     Ok(metrics) => WireResponse::Metrics(metrics),
                     Err(fault) => WireResponse::Error(fault),
                 },
-                // The sequential call-reply loop has no writer thread to
-                // multiplex server-initiated frames onto, so it cannot
+                // The sequential call-reply loop cannot interleave
+                // server-initiated frames with replies, so it cannot
                 // host subscriptions — refuse them with the same stable
                 // fault a v2 peer would get from the pipelined server.
                 WireRequest::Subscribe { .. } | WireRequest::Unsubscribe { .. } => {
@@ -467,20 +365,14 @@ impl<S> StoreServer<S> {
                         "push subscriptions need a pipelined (v3) connection",
                     ))
                 }
-                WireRequest::Lease { key, cfg, now } => match self.service.lease(&key, cfg, now) {
-                    Ok(active) => WireResponse::Leased { active },
-                    Err(fault) => WireResponse::Error(fault),
-                },
-                WireRequest::ReleaseLease { key, now } => {
-                    match self.service.release_lease(&key, now) {
-                        Ok(active) => WireResponse::Leased { active },
-                        Err(fault) => WireResponse::Error(fault),
-                    }
+                // Lease tables and the push-side clock live in the actor
+                // runtime; a store served without one has neither.
+                WireRequest::Lease { .. }
+                | WireRequest::ReleaseLease { .. }
+                | WireRequest::AdvanceTime { .. }
+                | WireRequest::PushStats => {
+                    WireResponse::Error(unsupported("TTL leases or push-side time"))
                 }
-                WireRequest::AdvanceTime { now } => match self.service.advance_time(now) {
-                    Ok(report) => WireResponse::TimeAdvanced(report),
-                    Err(fault) => WireResponse::Error(fault),
-                },
                 WireRequest::KeyList => match self.service.key_list() {
                     Ok(keys) => WireResponse::Keys(keys),
                     Err(fault) => WireResponse::Error(fault),
@@ -497,12 +389,6 @@ impl<S> StoreServer<S> {
                     Ok(text) => WireResponse::Exposition(text),
                     Err(fault) => WireResponse::Error(fault),
                 },
-                // PushStats answers with the TimeAdvanced frame: same
-                // payload, no clock side effect.
-                WireRequest::PushStats => match self.service.push_stats() {
-                    Ok(report) => WireResponse::TimeAdvanced(report),
-                    Err(fault) => WireResponse::Error(fault),
-                },
                 WireRequest::Shutdown => {
                     transport.send(&versioned_to_vec::<K>(
                         version,
@@ -517,752 +403,6 @@ impl<S> StoreServer<S> {
     }
 }
 
-/// Process-wide connection id source: the label that keys a pipelined
-/// connection's byte counters and in-flight gauge in the registry.
-static CONN_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Claim the next process-wide connection id. Every serving door —
-/// threaded or reactor — draws from the same sequence, so connection
-/// labels stay unique on a shared registry whichever doors a process
-/// runs.
-pub fn next_conn_id() -> u64 {
-    CONN_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// The wire-layer series one pipelined connection maintains on the
-/// runtime's shared registry. Frame/byte counters split by direction;
-/// bytes and the in-flight window are additionally labeled with the
-/// connection id (ids are never reused, so a long-lived process accretes
-/// one retired series per closed connection — the scrape stays
-/// deterministic, just longer). Public so the event-driven reactor door
-/// maintains the identical series.
-#[derive(Clone)]
-pub struct ConnStats {
-    /// Frames decoded off this connection.
-    pub frames_in: Counter,
-    /// Frames shipped to this connection's peer.
-    pub frames_out: Counter,
-    /// Framed bytes received (length prefix included).
-    pub bytes_in: Counter,
-    /// Framed bytes sent (length prefix included).
-    pub bytes_out: Counter,
-    /// Requests submitted to the runtime but not yet answered on the
-    /// wire — the server-side view of the client's in-flight window.
-    pub window: Gauge,
-    /// Frames that failed to decode (fatal to their connection).
-    pub decode_faults: Counter,
-}
-
-impl ConnStats {
-    /// Register the connection's series under the `conn` id label.
-    pub fn register(registry: &Registry, conn: u64) -> Self {
-        let conn = conn.to_string();
-        let frames = "Frames decoded from (dir=in) and shipped to (dir=out) pipelined peers.";
-        let bytes = "Framed bytes (length prefix included) per pipelined connection.";
-        ConnStats {
-            frames_in: registry.counter("apcache_wire_frames_total", frames, &[("dir", "in")]),
-            frames_out: registry.counter("apcache_wire_frames_total", frames, &[("dir", "out")]),
-            bytes_in: registry.counter(
-                "apcache_wire_connection_bytes_total",
-                bytes,
-                &[("conn", &conn), ("dir", "in")],
-            ),
-            bytes_out: registry.counter(
-                "apcache_wire_connection_bytes_total",
-                bytes,
-                &[("conn", &conn), ("dir", "out")],
-            ),
-            window: registry.gauge(
-                "apcache_wire_inflight",
-                "In-flight window occupancy per pipelined connection.",
-                &[("conn", &conn)],
-            ),
-            decode_faults: registry.counter(
-                "apcache_wire_decode_faults_total",
-                "Frames that failed to decode (fatal to their connection).",
-                &[],
-            ),
-        }
-    }
-}
-
-/// Count one outbound frame and ship it.
-fn ship<S: SplitStream>(
-    writer: &mut StreamTransport<S>,
-    stats: &ConnStats,
-    body: &[u8],
-) -> Result<(), WireError> {
-    let sent = writer.send(body);
-    if sent.is_ok() {
-        stats.frames_out.inc();
-        stats.bytes_out.add(body.len() as u64 + 4);
-    }
-    sent
-}
-
-/// What the pipelined reader tells the drainer about each decoded frame.
-enum ConnEvent<K> {
-    /// A request was submitted to the runtime under `ticket`.
-    Submitted { ticket: apcache_runtime::Ticket, request_id: u64, version: u8 },
-    /// A request was answered without touching the runtime (validation
-    /// fault, push frame at a serving endpoint); ship it as-is.
-    Immediate { request_id: u64, version: u8, response: WireResponse<K> },
-    /// No more requests will arrive. `ack` carries the id/version of a
-    /// client `Shutdown` to acknowledge once everything outstanding has
-    /// been answered; `None` is a plain disconnect.
-    End { ack: Option<(u64, u8)> },
-}
-
-/// Serve one connection in front of the actor runtime with **pipelined,
-/// out-of-order replies**: requests are decoded and submitted to
-/// `handle`'s ticketed surface as fast as they arrive (the reader — this
-/// thread), while a drainer thread harvests the handle's completion
-/// queue and ships each response the moment its shard finishes, tagged
-/// with the originating request id. A window of client requests
-/// therefore overlaps on the server exactly as it does on the wire —
-/// one connection, many in-flight requests, no head-of-line blocking
-/// across shards.
-///
-/// A client `Shutdown` is acknowledged only after every outstanding
-/// request has been answered, then the connection ends with
-/// [`ServerExit::Shutdown`]. Dispatch-level faults travel back as error
-/// frames (out of order like any other response); malformed frames
-/// remain fatal to the connection.
-pub fn serve_pipelined<K, S>(
-    transport: StreamTransport<S>,
-    handle: RuntimeHandle<K>,
-) -> Result<ServerExit, WireError>
-where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
-    S: SplitStream + 'static,
-{
-    use std::sync::mpsc;
-
-    let writer = transport.try_split()?;
-    let mut reader = transport;
-    let handle = std::sync::Arc::new(handle);
-    let stats = ConnStats::register(handle.telemetry().registry(), next_conn_id());
-    let (evt_tx, evt_rx) = mpsc::channel::<ConnEvent<K>>();
-    let drainer = {
-        let handle = std::sync::Arc::clone(&handle);
-        let stats = stats.clone();
-        thread::Builder::new()
-            .name("apcache-wire-drain".into())
-            .spawn(move || drain_completions(writer, &handle, &evt_rx, &stats))
-            .map_err(|e| WireError::Io(e.to_string()))?
-    };
-
-    // The reader loop: decode, submit, hand the ticket to the drainer.
-    // Live subscriptions are correlated by the wire id their Subscribe
-    // arrived under — pushes go out tagged with that id, and the same id
-    // is how the client names the subscription in an Unsubscribe.
-    let mut subs: HashMap<u64, apcache_runtime::Ticket> = HashMap::new();
-    let mut fatal: Option<WireError> = None;
-    loop {
-        let body = match reader.recv() {
-            Ok(body) => body,
-            Err(WireError::Closed) => {
-                let _ = evt_tx.send(ConnEvent::End { ack: None });
-                break;
-            }
-            Err(e) => {
-                fatal = Some(e);
-                let _ = evt_tx.send(ConnEvent::End { ack: None });
-                break;
-            }
-        };
-        stats.frames_in.inc();
-        stats.bytes_in.add(body.len() as u64 + 4);
-        let frame = match decode_frame::<K>(&body) {
-            Ok(frame) => frame,
-            Err(e) => {
-                stats.decode_faults.inc();
-                handle.telemetry().trace().record(TraceKind::DecodeFault, 0, "", None);
-                fatal = Some(e);
-                let _ = evt_tx.send(ConnEvent::End { ack: None });
-                break;
-            }
-        };
-        let (request_id, version) = (frame.request_id, frame.version);
-        let request = match frame.msg {
-            WireMessage::Request(request) => request,
-            WireMessage::Refresh(_)
-            | WireMessage::Exact(_)
-            | WireMessage::Response(_)
-            | WireMessage::Push(_) => {
-                let fault = WireFault::new(
-                    crate::error::FaultKind::Unsupported,
-                    "this endpoint serves requests; push frames have no meaning here",
-                );
-                let _ = evt_tx.send(ConnEvent::Immediate {
-                    request_id,
-                    version,
-                    response: WireResponse::Error(fault),
-                });
-                continue;
-            }
-        };
-        if requires_v3(&request) && version < crate::message::VERSION {
-            let _ = evt_tx.send(ConnEvent::Immediate {
-                request_id,
-                version,
-                response: WireResponse::Error(v3_fault()),
-            });
-            continue;
-        }
-        let submitted = match request {
-            WireRequest::Read { key, constraint, now } => handle.submit_read(&key, constraint, now),
-            WireRequest::Write { key, value, now } => handle.submit_write(&key, value, now),
-            WireRequest::WriteBatch { items, now } => handle.submit_write_batch(&items, now),
-            WireRequest::Aggregate { kind, keys, constraint, now } => {
-                handle.submit_aggregate(kind, &keys, constraint, now)
-            }
-            WireRequest::Metrics => handle.submit_metrics(),
-            WireRequest::Subscribe { key, filter, now } => {
-                if version < crate::message::VERSION {
-                    // Pre-v3 peers have no Push frame in their
-                    // vocabulary, so a subscription could never be
-                    // served — refuse it with a stable fault instead of
-                    // streaming frames the peer cannot decode.
-                    let _ = evt_tx.send(ConnEvent::Immediate {
-                        request_id,
-                        version,
-                        response: WireResponse::Error(WireFault::new(
-                            crate::error::FaultKind::Unsupported,
-                            "push subscriptions require protocol v3",
-                        )),
-                    });
-                    continue;
-                }
-                let submitted = handle.submit_subscribe(&key, filter, now);
-                if let Ok(ticket) = &submitted {
-                    subs.insert(request_id, *ticket);
-                }
-                submitted
-            }
-            WireRequest::Unsubscribe { sub } => match subs.remove(&sub) {
-                Some(ticket) => handle.submit_unsubscribe(ticket),
-                None => {
-                    let _ = evt_tx.send(ConnEvent::Immediate {
-                        request_id,
-                        version,
-                        response: WireResponse::Unsubscribed { existed: false },
-                    });
-                    continue;
-                }
-            },
-            WireRequest::Lease { key, cfg, now } => handle.submit_lease(&key, cfg, now),
-            WireRequest::ReleaseLease { key, now } => handle.submit_release_lease(&key, now),
-            WireRequest::AdvanceTime { now } => handle.submit_advance_time(now),
-            // Migration verbs are control-plane and run inline on the
-            // reader, not through the ticketed surface: pausing intake
-            // while a batch detaches means no later frame on this
-            // connection can race the export, and the per-shard export
-            // request still queues *behind* everything already in that
-            // shard's mailbox — earlier submitted writes land before the
-            // state leaves (the drain-then-flip ordering migration needs).
-            WireRequest::KeyList => {
-                let _ = evt_tx.send(ConnEvent::Immediate {
-                    request_id,
-                    version,
-                    response: WireResponse::Keys(handle.sorted_keys()),
-                });
-                continue;
-            }
-            WireRequest::ExportKeys { keys } => {
-                let response = match handle.export_key_states(&keys) {
-                    Ok(states) => WireResponse::Exported(states),
-                    Err(e) => WireResponse::Error(WireFault::from(e)),
-                };
-                let _ = evt_tx.send(ConnEvent::Immediate { request_id, version, response });
-                continue;
-            }
-            WireRequest::ImportKeys { states } => {
-                let response = match handle.import_key_states(states) {
-                    Ok(()) => WireResponse::Imported,
-                    Err(e) => WireResponse::Error(WireFault::from(e)),
-                };
-                let _ = evt_tx.send(ConnEvent::Immediate { request_id, version, response });
-                continue;
-            }
-            // Exposition is control-plane like the migration verbs, but
-            // rendering gathers metrics/push-stats on a scratch handle
-            // inside the runtime, then settles the ticket immediately —
-            // so the scrape wakes the drainer like any other completion
-            // (an Immediate event could not: while a subscription
-            // streams, the drainer blocks on the completion queue, not
-            // the event channel).
-            WireRequest::Exposition => handle.submit_exposition(),
-            // PushStats rides the ticketed surface; its completion is a
-            // TimeAdvanced outcome the drainer already ships.
-            WireRequest::PushStats => handle.submit_push_stats(),
-            WireRequest::Shutdown => {
-                let _ = evt_tx.send(ConnEvent::End { ack: Some((request_id, version)) });
-                break;
-            }
-        };
-        let event = match submitted {
-            Ok(ticket) => ConnEvent::Submitted { ticket, request_id, version },
-            Err(e) => ConnEvent::Immediate {
-                request_id,
-                version,
-                response: WireResponse::Error(WireFault::from(e)),
-            },
-        };
-        let _ = evt_tx.send(event);
-    }
-    // Cancel subscriptions the client left open (disconnects, and
-    // shutdowns that skipped the unsubscribe): each cancel makes the
-    // actor drop the subscription's sink, whose SubscriptionEnded
-    // completion retires the drainer's mapping — without this the
-    // drainer would wait forever on tickets that stream but never
-    // settle. The cancel acks themselves are unmapped and are dropped
-    // by the drainer as orphans.
-    for (_, ticket) in subs.drain() {
-        let _ = handle.submit_unsubscribe(ticket);
-    }
-    drop(evt_tx);
-    let drained = drainer.join().map_err(|_| WireError::Closed)?;
-    match fatal {
-        Some(e) => Err(e),
-        None => drained,
-    }
-}
-
-/// The drainer half of [`serve_pipelined`]: harvest completions off the
-/// handle's queue and ship each as a response frame under its request
-/// id, until the reader signals the end and everything outstanding has
-/// been answered.
-fn drain_completions<K, S>(
-    mut writer: StreamTransport<S>,
-    handle: &RuntimeHandle<K>,
-    events: &std::sync::mpsc::Receiver<ConnEvent<K>>,
-    stats: &ConnStats,
-) -> Result<ServerExit, WireError>
-where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
-    S: SplitStream,
-{
-    use std::sync::mpsc::TryRecvError;
-
-    /// Zero the connection's in-flight gauge on every exit path.
-    struct WindowReset(Gauge);
-    impl Drop for WindowReset {
-        fn drop(&mut self) {
-            self.0.set(0);
-        }
-    }
-    let _window_reset = WindowReset(stats.window.clone());
-
-    // Runtime ticket → (request id, version) of the frame that caused it.
-    let mut in_flight: HashMap<apcache_runtime::Ticket, (u64, u8)> = HashMap::new();
-    let mut end: Option<Option<(u64, u8)>> = None;
-    // An `Err` out of `apply` (or any later send) means a response could
-    // not be shipped: the peer hung up mid-window. On this side that is
-    // a clean disconnect, exactly like an EOF on the reader — work
-    // already submitted still executes on the actors; only its answers
-    // have nowhere to go.
-    let apply = |event: ConnEvent<K>,
-                 in_flight: &mut HashMap<apcache_runtime::Ticket, (u64, u8)>,
-                 end: &mut Option<Option<(u64, u8)>>,
-                 writer: &mut StreamTransport<S>|
-     -> Result<(), WireError> {
-        match event {
-            ConnEvent::Submitted { ticket, request_id, version } => {
-                in_flight.insert(ticket, (request_id, version));
-            }
-            ConnEvent::Immediate { request_id, version, response } => {
-                ship(
-                    writer,
-                    stats,
-                    &versioned_to_vec(version, request_id, &WireMessage::Response(response)),
-                )?;
-            }
-            ConnEvent::End { ack } => {
-                end.get_or_insert(ack);
-            }
-        }
-        Ok(())
-    };
-    loop {
-        stats.window.set(in_flight.len() as i64);
-        // Absorb whatever the reader has queued, without blocking.
-        loop {
-            match events.try_recv() {
-                Ok(event) => {
-                    if apply(event, &mut in_flight, &mut end, &mut writer).is_err() {
-                        return Ok(ServerExit::Disconnected);
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    end.get_or_insert(None);
-                    break;
-                }
-            }
-        }
-        if in_flight.is_empty() {
-            match end {
-                Some(Some((request_id, version))) => {
-                    let ack = versioned_to_vec::<K>(
-                        version,
-                        request_id,
-                        &WireMessage::Response(WireResponse::ShutdownAck),
-                    );
-                    return Ok(if ship(&mut writer, stats, &ack).is_ok() {
-                        ServerExit::Shutdown
-                    } else {
-                        ServerExit::Disconnected
-                    });
-                }
-                Some(None) => return Ok(ServerExit::Disconnected),
-                None => {
-                    // Idle connection: block until the reader has news.
-                    match events.recv() {
-                        Ok(event) => {
-                            if apply(event, &mut in_flight, &mut end, &mut writer).is_err() {
-                                return Ok(ServerExit::Disconnected);
-                            }
-                        }
-                        Err(_) => {
-                            end.get_or_insert(None);
-                        }
-                    }
-                    continue;
-                }
-            }
-        }
-        // Work is outstanding: block on the completion queue.
-        let Some(completion) = handle.completions().wait() else {
-            // The queue has nothing outstanding and nothing ready, yet
-            // tickets are still mapped: no completion can ever arrive
-            // for them (every registered op settles exactly once, so
-            // this is a lost-ticket invariant breach, not a transient
-            // race — mapped tickets were registered before their
-            // Submitted events were sent). Fail them as answers instead
-            // of spinning on an empty queue forever.
-            for (_, (request_id, version)) in in_flight.drain() {
-                let fault = WireFault::new(
-                    crate::error::FaultKind::ActorGone,
-                    "the serving runtime lost this request's ticket",
-                );
-                let body = versioned_to_vec::<K>(
-                    version,
-                    request_id,
-                    &WireMessage::Response(WireResponse::Error(fault)),
-                );
-                if ship(&mut writer, stats, &body).is_err() {
-                    return Ok(ServerExit::Disconnected);
-                }
-            }
-            continue;
-        };
-        // Subscription tickets stream: the Subscribed ack and every Push
-        // reuse the same mapping, which only SubscriptionEnded retires —
-        // everything else settles its ticket with exactly one frame.
-        let streaming = matches!(
-            completion.outcome,
-            Ok(apcache_runtime::Outcome::Subscribed { .. }) | Ok(apcache_runtime::Outcome::Push(_))
-        );
-        // The completion may precede its Submitted event; block on the
-        // channel until the mapping shows up (the reader sends it right
-        // after submitting).
-        let correlated = loop {
-            let found = if streaming {
-                in_flight.get(&completion.ticket).copied()
-            } else {
-                in_flight.remove(&completion.ticket)
-            };
-            if let Some(found) = found {
-                break Some(found);
-            }
-            match events.recv() {
-                Ok(event) => {
-                    if apply(event, &mut in_flight, &mut end, &mut writer).is_err() {
-                        return Ok(ServerExit::Disconnected);
-                    }
-                }
-                Err(_) => {
-                    end.get_or_insert(None);
-                    break None; // reader died pre-mapping; drop the orphan
-                }
-            }
-        };
-        let Some((request_id, version)) = correlated else { continue };
-        let body = match completion.outcome {
-            Ok(apcache_runtime::Outcome::Read(result)) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Read(result)),
-            ),
-            Ok(apcache_runtime::Outcome::Write(outcome)) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Write(outcome)),
-            ),
-            Ok(apcache_runtime::Outcome::Aggregate(outcome)) => versioned_to_vec(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Aggregate {
-                    answer: outcome.answer,
-                    refreshed: outcome.refreshed,
-                }),
-            ),
-            Ok(apcache_runtime::Outcome::Metrics(metrics)) => versioned_to_vec(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Metrics(metrics.merged().clone())),
-            ),
-            Ok(apcache_runtime::Outcome::Subscribed { interval }) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Subscribed { interval }),
-            ),
-            // The server-initiated frame: a subscribed key's interval
-            // changed, multiplexed onto the connection under the
-            // subscription's wire id.
-            Ok(apcache_runtime::Outcome::Push(event)) => {
-                versioned_to_vec(version, request_id, &WireMessage::Push(event))
-            }
-            // The subscription's terminal completion: the mapping is
-            // already removed above; the unsubscribe ack (or connection
-            // teardown) speaks for itself, so no frame goes out.
-            Ok(apcache_runtime::Outcome::SubscriptionEnded) => continue,
-            Ok(apcache_runtime::Outcome::Unsubscribed { existed }) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Unsubscribed { existed }),
-            ),
-            Ok(apcache_runtime::Outcome::Leased { active }) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Leased { active }),
-            ),
-            Ok(apcache_runtime::Outcome::TimeAdvanced(report)) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::TimeAdvanced(report)),
-            ),
-            Ok(apcache_runtime::Outcome::Exposition(text)) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Exposition(text)),
-            ),
-            Err(e) => versioned_to_vec::<K>(
-                version,
-                request_id,
-                &WireMessage::Response(WireResponse::Error(WireFault::from(e))),
-            ),
-        };
-        if ship(&mut writer, stats, &body).is_err() {
-            return Ok(ServerExit::Disconnected);
-        }
-    }
-}
-
-/// Sniff the first four bytes of a fresh connection without consuming
-/// them. The frame protocol's first byte is the `u32` length prefix,
-/// whose little-endian value for the ASCII `"GET "` (0x20544547) is far
-/// beyond [`MAX_FRAME_LEN`](crate::transport::MAX_FRAME_LEN) — so the
-/// two vocabularies cannot collide and a plain-HTTP scraper can share
-/// the serving port. Returns `None` on EOF or error (the frame loop
-/// will re-surface it as a clean close).
-fn sniff_http(stream: &std::net::TcpStream) -> Option<bool> {
-    let mut first = [0u8; 4];
-    loop {
-        match stream.peek(&mut first) {
-            Ok(0) => return None,
-            // A partial first segment: extremely rare (both protocols
-            // open with >= 4 bytes in one write), so a short nap beats
-            // a busy spin while the rest of the bytes arrive.
-            Ok(n) if n < 4 => thread::sleep(std::time::Duration::from_millis(1)),
-            Ok(_) => return Some(&first == b"GET "),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Answer one plain-HTTP request on a connection whose first bytes were
-/// `"GET "`: `GET /metrics` gets the full Prometheus text exposition
-/// (format 0.0.4), anything else a 404. One request, then close —
-/// scrapers reconnect per scrape.
-fn serve_http_scrape<K>(
-    stream: &std::net::TcpStream,
-    handle: &RuntimeHandle<K>,
-) -> Result<ServerExit, WireError>
-where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
-{
-    use std::io::{Read, Write};
-
-    let mut stream = stream;
-    let mut head = Vec::new();
-    let mut buf = [0u8; 512];
-    while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(ServerExit::Disconnected);
-        }
-        head.extend_from_slice(&buf[..n]);
-        if head.len() > 8_192 {
-            break; // hostile header flood: answer what we have
-        }
-    }
-    let request_line = head.split(|&b| b == b'\r').next().unwrap_or(&[]);
-    let path = std::str::from_utf8(request_line)
-        .ok()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .unwrap_or("");
-    let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
-        handle
-            .telemetry()
-            .registry()
-            .counter("apcache_http_scrapes_total", "Plain-HTTP GET /metrics scrapes served.", &[])
-            .inc();
-        match handle.render_exposition() {
-            Ok(text) => ("200 OK", text),
-            Err(e) => ("500 Internal Server Error", format!("exposition failed: {e}\n")),
-        }
-    } else {
-        ("404 Not Found", "only /metrics is served over HTTP here\n".to_string())
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
-    // `Connection: close` must be made true actively: the acceptor holds
-    // a cloned fd for teardown, so merely dropping this handler's stream
-    // would not send FIN and a scraper reading to EOF would wait on the
-    // listener's whole lifetime.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    Ok(ServerExit::Disconnected)
-}
-
-/// Accept TCP connections on `listener` and serve each on its own thread
-/// with a clone of `handle` — **pipelined**: every connection runs
-/// [`serve_pipelined`], so each client can keep a window of requests in
-/// flight and receives replies out of order as the shard actors finish.
-/// This is the cross-process face of the actor runtime.
-///
-/// A connection whose first bytes are `"GET "` instead of a frame length
-/// prefix is answered as plain HTTP: `GET /metrics` returns the full
-/// Prometheus text exposition, so an off-the-shelf scraper can point at
-/// the serving port with no frame codec.
-///
-/// The first client-initiated `Shutdown` stops the accept loop (a
-/// connection thread wakes the blocked acceptor by dialing the
-/// listener's port on loopback). Sibling connections then get a short
-/// drain grace to finish their own shutdown handshakes — a
-/// [`ClientPool`](crate::ClientPool) drains its members sequentially
-/// through this one listener, so the first member's `Shutdown` must not
-/// cut the others off mid-drain. Connections still open after the grace
-/// — idle peers included — are force-closed (and counted in
-/// `apcache_wire_forced_closes_total` with a `forced_close` trace
-/// event), and every connection thread is joined before returning, so no
-/// request is in flight afterwards.
-pub fn serve_connections<K>(
-    listener: TcpListener,
-    handle: RuntimeHandle<K>,
-) -> Result<(), WireError>
-where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
-{
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    // The wake-up dial must target a routable address: a listener bound
-    // to the unspecified address (0.0.0.0 / ::) is reachable on
-    // loopback, but *connecting to* 0.0.0.0 is platform-dependent.
-    let local_addr = listener.local_addr()?;
-    let wake_addr = SocketAddr::new(
-        match local_addr.ip() {
-            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            routable => routable,
-        },
-        local_addr.port(),
-    );
-    // Each worker's raw socket stays with the acceptor so teardown can
-    // force-close connections whose peers are idle or gone.
-    type Worker = (thread::JoinHandle<Result<ServerExit, WireError>>, TcpStream);
-    let mut workers: Vec<Worker> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        let transport = TcpTransport::accept(&listener)?;
-        if stop.load(Ordering::SeqCst) {
-            // The wake-up connection from a finished shutdown; discard it.
-            break;
-        }
-        let raw = transport.inner().try_clone()?;
-        // A handle clone is a fresh logical client: this connection's
-        // tickets and completions are its own.
-        let connection_handle = handle.clone();
-        let connection_stop = Arc::clone(&stop);
-        let worker = thread::Builder::new()
-            .name("apcache-wire-conn".into())
-            .spawn(move || {
-                // HTTP peers are sniffed (peeked, not consumed) before
-                // the frame loop ever reads, so the two protocols share
-                // the port without a wrapper stream.
-                let exit = if sniff_http(transport.inner()) == Some(true) {
-                    serve_http_scrape(transport.inner(), &connection_handle)
-                } else {
-                    serve_pipelined(transport, connection_handle)
-                };
-                if matches!(exit, Ok(ServerExit::Shutdown)) {
-                    connection_stop.store(true, Ordering::SeqCst);
-                    // Unblock the acceptor so it can observe the flag.
-                    let _ = TcpStream::connect(wake_addr);
-                }
-                exit
-            })
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        workers.push((worker, raw));
-    }
-    // Shutdown means stop *accepting* — but sibling connections may be
-    // mid-drain themselves. A `ClientPool` shuts its members down
-    // sequentially over this one listener: the first member's `Shutdown`
-    // lands here and stops the accept loop while members 2..n still have
-    // their own unsubscribe/harvest/`Shutdown` handshakes in flight.
-    // Force-closing immediately would cut those drains short (the
-    // scoping bug this grace fixes), so give running workers a bounded
-    // window to finish on their own.
-    let drain_deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    while workers.iter().any(|(worker, _)| !worker.is_finished())
-        && std::time::Instant::now() < drain_deadline
-    {
-        thread::sleep(std::time::Duration::from_millis(10));
-    }
-    // Force-close whatever remains so a worker parked in recv() on an
-    // idle peer wakes with EOF instead of blocking the join below
-    // forever. Workers still running at this point are the idle/slow
-    // peers being cut off — count each.
-    let forced = handle.telemetry().registry().counter(
-        "apcache_wire_forced_closes_total",
-        "Idle or lingering connections force-closed at listener teardown.",
-        &[],
-    );
-    for (worker, raw) in &workers {
-        if !worker.is_finished() {
-            forced.inc();
-            handle.telemetry().trace().record(TraceKind::ForcedClose, 0, "", None);
-        }
-        let _ = raw.shutdown(std::net::Shutdown::Both);
-    }
-    for (worker, _) in workers {
-        let _ = worker.join().map_err(|_| WireError::Closed)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1271,6 +411,7 @@ mod tests {
     use crate::message::{decode_message, encode_to_vec};
     use crate::transport::loopback;
     use apcache_store::StoreBuilder;
+    use std::thread;
 
     fn small_store() -> PrecisionStore<String> {
         StoreBuilder::new()
@@ -1331,126 +472,6 @@ mod tests {
         assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
     }
 
-    fn small_fleet() -> apcache_runtime::Runtime<String> {
-        let store = apcache_shard::ShardedStoreBuilder::new()
-            .shards(2)
-            .initial_width(apcache_store::InitialWidth::Fixed(10.0))
-            .source("a".to_string(), 100.0)
-            .source("b".to_string(), 200.0)
-            .source("c".to_string(), 300.0)
-            .build()
-            .unwrap();
-        apcache_runtime::Runtime::launch(store).unwrap()
-    }
-
-    #[test]
-    fn pipelined_server_answers_a_window_out_of_order() {
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::with_window(client_t, 8);
-        // Submit a full window, then redeem newest-first: responses are
-        // reassembled by ticket whatever order they arrived in.
-        let keys = ["a", "b", "c"];
-        let writes: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| client.submit_write(&k.to_string(), 50.0 * i as f64, 100).unwrap())
-            .collect();
-        let reads: Vec<_> = keys
-            .iter()
-            .map(|k| client.submit_read(&k.to_string(), Constraint::Exact, 200).unwrap())
-            .collect();
-        assert_eq!(client.in_flight(), 6);
-        for (&ticket, (i, _)) in reads.iter().zip(keys.iter().enumerate()).rev() {
-            let r = client.wait_read(ticket).unwrap();
-            assert!(r.answer.contains(50.0 * i as f64), "key #{i}");
-        }
-        for &ticket in writes.iter().rev() {
-            client.wait_write(ticket).unwrap();
-        }
-        // Faults travel the pipelined path as answers, not disconnects.
-        let bad = client.submit_read(&"zzz".to_string(), Constraint::Exact, 300).unwrap();
-        let ok = client.submit_read(&"a".to_string(), Constraint::Exact, 300).unwrap();
-        assert_eq!(client.wait_read(bad).unwrap_err().fault_kind(), Some(FaultKind::UnknownKey));
-        assert!(client.wait_read(ok).is_ok());
-        client.shutdown().unwrap();
-        assert_eq!(server.join().unwrap(), ServerExit::Shutdown);
-        let store = runtime.into_store().unwrap();
-        assert_eq!(store.metrics().merged().totals().writes, 3);
-    }
-
-    #[test]
-    fn pipelined_disconnect_without_shutdown_is_clean() {
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::with_window(client_t, 4);
-        // In-flight work at hang-up time is still applied (the reader
-        // submitted it before seeing EOF).
-        client.submit_write(&"a".to_string(), 111.0, 50).unwrap();
-        drop(client);
-        assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
-        let store = runtime.into_store().unwrap();
-        assert_eq!(store.value(&"a".to_string()), Some(111.0));
-    }
-
-    #[test]
-    fn pipelined_server_streams_pushes_for_subscriptions() {
-        use apcache_push::{PushFilter, PushReason};
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::new(client_t);
-        let (sub, snapshot) = client.subscribe(&"a".to_string(), PushFilter::Always, 0).unwrap();
-        assert!(snapshot.contains(100.0));
-        // An escaping write moves the cached interval → one push, which
-        // the server multiplexes ahead of the write's own response.
-        client.write(&"a".to_string(), 500.0, 100).unwrap();
-        let (from, event) = client.next_push().unwrap();
-        assert_eq!(from, sub);
-        assert_eq!(event.key, "a");
-        assert_eq!(event.reason, PushReason::Changed);
-        assert!(event.interval.contains(500.0));
-        assert!(client.unsubscribe(sub).unwrap());
-        // The stream is closed: further writes push nothing.
-        client.write(&"a".to_string(), 900.0, 200).unwrap();
-        assert_eq!(client.pending_pushes(), 0);
-        client.shutdown().unwrap();
-        assert_eq!(server.join().unwrap(), ServerExit::Shutdown);
-    }
-
-    #[test]
-    fn pipelined_server_serves_exposition_and_push_stats() {
-        use apcache_push::PushFilter;
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::new(client_t);
-        client.read(&"a".to_string(), Constraint::Exact, 0).unwrap();
-        client.write(&"b".to_string(), 42.0, 10).unwrap();
-        let (sub, _) = client.subscribe(&"c".to_string(), PushFilter::Always, 20).unwrap();
-        // PushStats sees the live subscription without advancing time.
-        let report = client.push_stats().unwrap();
-        assert_eq!(report.subscribers, 1);
-        assert_eq!(report.watched_keys, 1);
-        // The exposition carries the store rollup and the wire series.
-        let text = client.exposition().unwrap();
-        assert!(text.contains("# TYPE apcache_reads_total counter"), "{text}");
-        assert!(text.contains("apcache_reads_total 1"), "{text}");
-        assert!(text.contains("apcache_writes_total 1"), "{text}");
-        assert!(text.contains("apcache_push_subscribers 1"), "{text}");
-        assert!(text.contains("apcache_verb_latency_seconds_bucket"), "{text}");
-        assert!(text.contains("apcache_wire_frames_total{dir=\"in\"}"), "{text}");
-        assert!(client.unsubscribe(sub).unwrap());
-        client.shutdown().unwrap();
-        assert_eq!(server.join().unwrap(), ServerExit::Shutdown);
-    }
-
     #[test]
     fn sequential_server_serves_store_exposition() {
         let (mut server_t, client_t) = loopback();
@@ -1467,57 +488,6 @@ mod tests {
         assert_eq!(err.fault_kind(), Some(FaultKind::Unsupported));
         client.shutdown().unwrap();
         assert_eq!(server.join().unwrap(), ServerExit::Shutdown);
-    }
-
-    #[test]
-    fn v2_peers_get_a_stable_fault_for_telemetry_verbs() {
-        use crate::message::{decode_frame, versioned_to_vec, VERSION_V2};
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, mut client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        for (id, request) in [(11u64, WireRequest::Exposition), (12, WireRequest::PushStats)] {
-            let msg: WireMessage<String> = WireMessage::Request(request);
-            client_t.send(&versioned_to_vec(VERSION_V2, id, &msg)).unwrap();
-            let frame = decode_frame::<String>(&client_t.recv().unwrap()).unwrap();
-            assert_eq!((frame.request_id, frame.version), (id, VERSION_V2));
-            assert!(matches!(
-                frame.msg,
-                WireMessage::Response(WireResponse::Error(WireFault {
-                    kind: FaultKind::Unsupported,
-                    ..
-                }))
-            ));
-        }
-        drop(client_t);
-        assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
-    }
-
-    #[test]
-    fn v2_peers_get_a_stable_fault_for_subscriptions() {
-        use crate::message::{decode_frame, versioned_to_vec, VERSION_V2};
-        use apcache_push::PushFilter;
-        let runtime = small_fleet();
-        let handle = runtime.handle();
-        let (server_t, mut client_t) = loopback();
-        let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-        let sub: WireMessage<String> = WireMessage::Request(WireRequest::Subscribe {
-            key: "a".into(),
-            filter: PushFilter::Always,
-            now: 0,
-        });
-        client_t.send(&versioned_to_vec(VERSION_V2, 7, &sub)).unwrap();
-        let frame = decode_frame::<String>(&client_t.recv().unwrap()).unwrap();
-        assert_eq!((frame.request_id, frame.version), (7, VERSION_V2));
-        assert!(matches!(
-            frame.msg,
-            WireMessage::Response(WireResponse::Error(WireFault {
-                kind: FaultKind::Unsupported,
-                ..
-            }))
-        ));
-        drop(client_t);
-        assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
     }
 
     #[test]

@@ -70,9 +70,9 @@ pub fn frame_bytes(body: &[u8]) -> Result<Vec<u8>, WireError> {
 }
 
 /// A byte stream whose two directions can be duplicated onto separate
-/// handles — one dedicated to reads, one to writes — so a pipelined
-/// endpoint can decode incoming frames and ship outgoing frames from
-/// different threads over the *same* connection.
+/// handles — one dedicated to reads, one to writes — so an open-loop
+/// client can pace requests out on one thread and time replies on
+/// another over the *same* connection.
 ///
 /// The duplicate shares the underlying connection: closing either side
 /// (or dropping the last handle) tears the connection down for both.
@@ -104,15 +104,15 @@ impl<S: Read + Write + Send> StreamTransport<S> {
         self.stream
     }
 
-    /// Shared access to the underlying stream (e.g. to `try_clone` a
-    /// `TcpStream` so a supervisor can force-close the connection).
+    /// Shared access to the underlying stream (e.g. to set a read
+    /// timeout on a `TcpStream`).
     pub fn inner(&self) -> &S {
         &self.stream
     }
 
     /// Duplicate the transport over the same connection (see
-    /// [`SplitStream`]): the pipelined server reads requests on one
-    /// handle while a drainer thread writes completions on the other.
+    /// [`SplitStream`]): one handle sends requests while the other
+    /// receives replies.
     pub fn try_split(&self) -> Result<Self, WireError>
     where
         S: SplitStream,
@@ -398,8 +398,8 @@ pub fn loopback_streams() -> (LoopbackStream, LoopbackStream) {
 pub type TcpTransport = StreamTransport<TcpStream>;
 
 impl TcpTransport {
-    /// Connect to a listening [`StoreServer`](crate::StoreServer) /
-    /// [`serve_connections`](crate::serve_connections) endpoint.
+    /// Connect to a listening [`StoreServer`](crate::StoreServer) or
+    /// `serve_reactor` endpoint.
     /// `TCP_NODELAY` is set: frames are small and latency-bound, so
     /// Nagle's algorithm only adds round-trip delay.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn split_halves_share_one_ordered_connection() {
         // Reader and writer halves work concurrently from two threads —
-        // the shape serve_pipelined uses.
+        // the shape the benchmark's open-loop sender/receiver pair uses.
         let (server, mut client) = loopback();
         let mut server_writer = server.try_split().unwrap();
         let mut server_reader = server;

@@ -1,99 +1,13 @@
-//! End-to-end coverage of the v3 lease verbs and migration surface:
-//! leases granted/expired over a pipelined connection, v2 peers refused
-//! with a stable fault, migration frames served by the sequential and
-//! pipelined servers, a remote server living as one shard of a mixed
-//! in-process/remote ring with keys migrating both directions over TCP,
-//! and the pooled client's drain surviving a member dying mid-drain.
+//! The call-reply `StoreServer` and the v3 vocabulary: a plain store
+//! serves the migration trio and refuses leases with a stable fault.
+//! (Leases, the pre-v3 gate, mixed local/remote rings and pool drains
+//! over a pipelined connection are covered in `apcache-reactor`.)
 
-use std::net::TcpListener;
 use std::thread;
 
-use apcache_core::Interval;
-use apcache_push::{FallbackWidth, LeaseConfig, PushFilter};
-use apcache_runtime::Runtime;
-use apcache_shard::{ShardBackend, ShardRouter, ShardedStore, ShardedStoreBuilder};
+use apcache_push::{FallbackWidth, LeaseConfig};
 use apcache_store::{Constraint, InitialWidth, StoreBuilder};
-use apcache_wire::{
-    decode_frame, loopback, serve_pipelined, versioned_to_vec, ClientPool, FaultKind, RemoteError,
-    RemoteStoreClient, ServerExit, StoreServer, TcpTransport, Transport, WireFault, WireMessage,
-    WireRequest, WireResponse, VERSION_V2,
-};
-
-fn fleet(keys: &[(u64, f64)]) -> Runtime<u64> {
-    let mut b = ShardedStoreBuilder::new().shards(2).initial_width(InitialWidth::Fixed(10.0));
-    for &(k, v) in keys {
-        b = b.source(k, v);
-    }
-    Runtime::launch(b.build().unwrap()).unwrap()
-}
-
-#[test]
-fn lease_verbs_serve_over_a_pipelined_connection() {
-    let runtime = fleet(&[(1, 100.0), (2, 200.0)]);
-    let handle = runtime.handle();
-    let (server_t, client_t) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::new(client_t);
-
-    let cfg = LeaseConfig { ttl_ms: 1_000, fallback: FallbackWidth::Fixed(50.0) };
-    assert!(client.lease(&1, cfg, 0).unwrap());
-    // Within the TTL the lease is live and nothing expires.
-    let report = client.advance_time(500).unwrap();
-    assert_eq!((report.leases, report.expired), (1, 0));
-    // Releasing reports whether a lease existed — once, then not.
-    assert!(client.release_lease(&1, 600).unwrap());
-    assert!(!client.release_lease(&1, 700).unwrap());
-    // Re-grant, then let it lapse: exactly one expiry in the report.
-    assert!(client.lease(&2, cfg, 1_000).unwrap());
-    let report = client.advance_time(3_000).unwrap();
-    assert_eq!(report.expired, 1);
-    // Lease faults ride the wire like any other answer: unknown key.
-    let err = client.lease(&99, cfg, 0).unwrap_err();
-    assert_eq!(err.fault_kind(), Some(FaultKind::UnknownKey));
-
-    client.shutdown().unwrap();
-    assert_eq!(server.join().unwrap(), ServerExit::Shutdown);
-    runtime.shutdown().unwrap();
-}
-
-#[test]
-fn v2_peers_get_a_stable_fault_for_every_v3_verb() {
-    let runtime = fleet(&[(1, 100.0)]);
-    let handle = runtime.handle();
-    let (server_t, mut client_t) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_t, handle).unwrap());
-
-    let cfg = LeaseConfig { ttl_ms: 1_000, fallback: FallbackWidth::Unbounded };
-    let v3_only: Vec<WireRequest<u64>> = vec![
-        WireRequest::Lease { key: 1, cfg, now: 0 },
-        WireRequest::ReleaseLease { key: 1, now: 0 },
-        WireRequest::AdvanceTime { now: 10 },
-        WireRequest::KeyList,
-        WireRequest::ExportKeys { keys: vec![1] },
-        WireRequest::ImportKeys { states: Vec::new() },
-    ];
-    for (i, request) in v3_only.into_iter().enumerate() {
-        let id = 100 + i as u64;
-        client_t.send(&versioned_to_vec(VERSION_V2, id, &WireMessage::Request(request))).unwrap();
-        let frame = decode_frame::<u64>(&client_t.recv().unwrap()).unwrap();
-        // The fault echoes the peer's own version and id, so a v2
-        // decoder can always read its refusal.
-        assert_eq!((frame.request_id, frame.version), (id, VERSION_V2));
-        assert!(
-            matches!(
-                frame.msg,
-                WireMessage::Response(WireResponse::Error(WireFault {
-                    kind: FaultKind::Unsupported,
-                    ..
-                }))
-            ),
-            "verb #{i} must be refused for v2 peers"
-        );
-    }
-    drop(client_t);
-    assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
-    runtime.shutdown().unwrap();
-}
+use apcache_wire::{loopback, FaultKind, RemoteStoreClient, ServerExit, StoreServer};
 
 #[test]
 fn sequential_server_serves_migration_verbs_and_defaults_leases_to_unsupported() {
@@ -139,131 +53,4 @@ fn sequential_server_serves_migration_verbs_and_defaults_leases_to_unsupported()
     client.shutdown().unwrap();
     let (exit, _store) = server.join().unwrap();
     assert_eq!(exit, ServerExit::Shutdown);
-}
-
-#[test]
-fn remote_server_is_one_shard_of_a_mixed_ring_and_keys_migrate_both_ways_over_tcp() {
-    // A live runtime across TCP becomes a shard of an outer ring whose
-    // other shard is a plain in-process store. Growing the ring migrates
-    // resident keys over the wire (ExportKeys out of the local store,
-    // ImportKeys into the runtime); shrinking it migrates them back.
-    // Values and widths survive both hops bit-for-bit.
-    let runtime = fleet(&[(1_000, 9_999.0)]); // sentinel outside the ring's population
-    let handle = runtime.handle();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = thread::spawn(move || {
-        let transport = TcpTransport::accept(&listener).unwrap();
-        serve_pipelined(transport, handle).unwrap()
-    });
-
-    let mut local = StoreBuilder::new().initial_width(InitialWidth::Fixed(10.0));
-    let mut reference = StoreBuilder::new().initial_width(InitialWidth::Fixed(10.0));
-    for k in 0..12u64 {
-        local = local.source(k, 100.0 * k as f64);
-        reference = reference.source(k, 100.0 * k as f64);
-    }
-    // The never-resharded twin: the ring must answer bit-identically to
-    // it at every stage, whichever side of the wire a key lives on.
-    let mut reference = reference.build().unwrap();
-    let router = ShardRouter::new(1, 64).unwrap();
-    let mut outer: ShardedStore<u64, Box<dyn ShardBackend<u64> + Send>> =
-        ShardedStore::from_routed_parts(
-            router,
-            vec![(0, Box::new(local.build().unwrap()) as Box<dyn ShardBackend<u64> + Send>)],
-        )
-        .unwrap();
-
-    // A width-adapting write before the reshard: the adapted state must
-    // survive migration, not just the seeded value.
-    let w = outer.write(&3, 12_345.0, 100).unwrap();
-    assert!(w.escaped());
-    reference.write(&3, 12_345.0, 100).unwrap();
-
-    let remote: RemoteStoreClient<u64, _> =
-        RemoteStoreClient::new(TcpTransport::connect(addr).unwrap());
-    let remote_id = outer.add_shard_backend(Box::new(remote)).unwrap();
-    let moved: Vec<u64> = (0..12u64).filter(|k| outer.router().route(k) == remote_id).collect();
-    assert!(!moved.is_empty(), "growing the ring must remap some keys to the remote shard");
-
-    // Every key answers through the outer ring — the moved ones now
-    // travel the wire — bit-identically to the unresharded twin.
-    for k in 0..12u64 {
-        let r = outer.read(&k, Constraint::Absolute(1e9), 200).unwrap();
-        let expect = reference.read(&k, Constraint::Absolute(1e9), 200).unwrap();
-        assert_eq!(r.answer, expect.answer, "key {k} post-grow");
-    }
-
-    // Shrink: a departing shard is drained of *every* resident — the
-    // migrated ring keys and the runtime's own sentinel alike all cross
-    // back over the wire into the remaining local shard.
-    let mut remote = outer.remove_shard(remote_id).unwrap();
-    assert_eq!(remote.key_list().unwrap(), Vec::<u64>::new(), "the departing shard is empty");
-    let adopted = outer.read(&1_000, Constraint::Absolute(1e9), 250).unwrap();
-    assert!(adopted.answer.contains(9_999.0), "the sentinel now answers locally");
-    for k in 0..12u64 {
-        let r = outer.read(&k, Constraint::Absolute(1e9), 300).unwrap();
-        let expect = reference.read(&k, Constraint::Absolute(1e9), 300).unwrap();
-        assert_eq!(r.answer, expect.answer, "key {k} post-shrink");
-    }
-
-    // Dropping the remote client hangs up; the server sees a clean EOF.
-    drop(remote);
-    assert_eq!(server.join().unwrap(), ServerExit::Disconnected);
-    runtime.shutdown().unwrap();
-}
-
-#[test]
-fn pool_drain_survives_a_member_dying_mid_drain_over_tcp() {
-    // Member 0's peer acks a subscription, then vanishes. Member 1 is a
-    // real pipelined server. The pool-wide drain must still cancel
-    // member 1's subscription and get its Shutdown acknowledged, then
-    // report member 0's failure.
-    let dead_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let dead_addr = dead_listener.local_addr().unwrap();
-    let dead = thread::spawn(move || {
-        let mut t = TcpTransport::accept(&dead_listener).unwrap();
-        let frame = decode_frame::<u64>(&t.recv().unwrap()).unwrap();
-        let WireMessage::Request(WireRequest::Subscribe { .. }) = frame.msg else {
-            panic!("expected the pool's Subscribe first");
-        };
-        t.send(&versioned_to_vec::<u64>(
-            frame.version,
-            frame.request_id,
-            &WireMessage::Response(WireResponse::Subscribed {
-                interval: Interval::point(1.0).unwrap(),
-            }),
-        ))
-        .unwrap();
-        // Dropping the transport here kills the socket with the
-        // subscription still live: the pool's drain dies mid-unsubscribe.
-    });
-
-    let runtime = fleet(&[(7, 700.0)]);
-    let handle = runtime.handle();
-    let healthy_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let healthy_addr = healthy_listener.local_addr().unwrap();
-    let healthy = thread::spawn(move || {
-        let transport = TcpTransport::accept(&healthy_listener).unwrap();
-        serve_pipelined(transport, handle).unwrap()
-    });
-
-    let pool: ClientPool<u64, _> = ClientPool::new(vec![
-        TcpTransport::connect(dead_addr).unwrap(),
-        TcpTransport::connect(healthy_addr).unwrap(),
-    ]);
-    let c0 = pool.logical(0);
-    let c1 = pool.logical(1);
-    let (_sub0, snap0) = c0.subscribe(&0, PushFilter::Always, 0).unwrap();
-    assert!(snap0.contains(1.0));
-    let (_sub1, snap1) = c1.subscribe(&7, PushFilter::Always, 0).unwrap();
-    assert!(snap1.contains(700.0));
-    dead.join().unwrap();
-
-    let err = pool.shutdown().unwrap_err();
-    assert!(matches!(err, RemoteError::Wire(_)), "member 0 must report its dead peer: {err:?}");
-    // The healthy member was fully drained: its server exited through a
-    // Shutdown ack, not an EOF.
-    assert_eq!(healthy.join().unwrap(), ServerExit::Shutdown);
-    runtime.shutdown().unwrap();
 }

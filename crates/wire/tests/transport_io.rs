@@ -1,17 +1,14 @@
-//! Socket-level integration: the client/server pair over real localhost
-//! TCP, including the multi-connection runtime front door
-//! (`serve_connections`) and hostile-peer behavior.
+//! Socket-level integration: the client and the call-reply
+//! `StoreServer` over real localhost TCP, and hostile-peer behavior.
+//! (The pipelined door's socket suite lives in `apcache-reactor`.)
 
 use std::net::TcpListener;
 use std::thread;
 
 use apcache_queries::AggregateKind;
-use apcache_runtime::Runtime;
-use apcache_shard::ShardedStoreBuilder;
 use apcache_store::{Constraint, InitialWidth, StoreBuilder};
 use apcache_wire::{
-    serve_connections, RemoteStoreClient, ServerExit, StoreServer, TcpTransport, Transport,
-    WireError,
+    RemoteStoreClient, ServerExit, StoreServer, TcpTransport, Transport, WireError,
 };
 
 fn listener() -> (TcpListener, std::net::SocketAddr) {
@@ -62,88 +59,6 @@ fn single_connection_tcp_serving_round_trips() {
 }
 
 #[test]
-fn runtime_front_door_serves_concurrent_tcp_clients() {
-    const KEYS: u64 = 16;
-    const CLIENTS: usize = 3;
-    const TICKS: u64 = 50;
-    let mut builder = ShardedStoreBuilder::new().shards(2).initial_width(InitialWidth::Fixed(8.0));
-    for k in 0..KEYS {
-        builder = builder.source(k, k as f64);
-    }
-    let runtime = Runtime::launch(builder.build().unwrap()).unwrap();
-    let handle = runtime.handle();
-    let (listener, addr) = listener();
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
-
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            thread::spawn(move || {
-                let mut client: RemoteStoreClient<u64, _> =
-                    RemoteStoreClient::new(TcpTransport::connect(addr).unwrap());
-                // Each client owns keys ≡ c (mod CLIENTS): disjoint
-                // traffic, so per-key outcomes are deterministic.
-                let mine: Vec<u64> = (0..KEYS).filter(|k| k % CLIENTS as u64 == c as u64).collect();
-                let mut writes = 0u64;
-                for t in 1..=TICKS {
-                    let now = t * 1_000;
-                    let batch: Vec<(u64, f64)> =
-                        mine.iter().map(|&k| (k, k as f64 + (t as f64).sin() * 20.0)).collect();
-                    client.write_batch(&batch, now).unwrap();
-                    writes += batch.len() as u64;
-                    let key = mine[(t % mine.len() as u64) as usize];
-                    let r = client.read(&key, Constraint::Absolute(4.0), now).unwrap();
-                    assert!(r.answer.width() <= 4.0);
-                }
-                // Clean disconnect (not Shutdown): the door stays open
-                // for the other clients.
-                (c, writes)
-            })
-        })
-        .collect();
-    let mut total_writes = 0;
-    for worker in workers {
-        let (_, writes) = worker.join().expect("client thread");
-        total_writes += writes;
-    }
-
-    // A final client checks the merged metrics and closes the door.
-    let mut closer: RemoteStoreClient<u64, _> =
-        RemoteStoreClient::new(TcpTransport::connect(addr).unwrap());
-    let metrics = closer.metrics().unwrap();
-    assert_eq!(metrics.totals().writes, total_writes);
-    assert_eq!(metrics.totals().reads, CLIENTS as u64 * TICKS);
-    closer.shutdown().unwrap();
-    acceptor.join().expect("acceptor thread").unwrap();
-    runtime.shutdown().unwrap();
-}
-
-#[test]
-fn shutdown_tears_down_idle_connections_instead_of_waiting_on_them() {
-    // Regression: an idle peer that connects and never sends must not
-    // block serve_connections' teardown after another client shuts the
-    // deployment down — lingering connections are force-closed.
-    let runtime =
-        Runtime::launch(ShardedStoreBuilder::new().shards(1).source(0u64, 1.0).build().unwrap())
-            .unwrap();
-    let handle = runtime.handle();
-    let (listener, addr) = listener();
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
-
-    // The idle peer: holds its socket open and says nothing.
-    let idle = std::net::TcpStream::connect(addr).unwrap();
-    // An active client does one read, then closes the door.
-    let mut closer: RemoteStoreClient<u64, _> =
-        RemoteStoreClient::new(TcpTransport::connect(addr).unwrap());
-    closer.read(&0u64, Constraint::Absolute(f64::INFINITY), 0).unwrap();
-    closer.shutdown().unwrap();
-    // Must return despite the idle connection (the test harness itself
-    // is the timeout guard: a hang here fails the suite).
-    acceptor.join().expect("acceptor thread").unwrap();
-    drop(idle);
-    runtime.shutdown().unwrap();
-}
-
-#[test]
 fn garbage_from_a_hostile_peer_closes_the_connection_not_the_process() {
     let (listener, addr) = listener();
     let server = thread::spawn(move || {
@@ -182,119 +97,12 @@ fn connecting_transport_surfaces_peer_loss_mid_frame() {
 }
 
 #[test]
-fn tcp_pipelined_windows_overlap_on_real_sockets() {
-    // Two windowed clients drive the pipelined front door concurrently:
-    // each keeps 8 requests on the wire, harvests out of submission
-    // order, and every accepted write survives to the drained fleet.
-    let (listener, addr) = listener();
-    let mut builder = ShardedStoreBuilder::new().shards(2).initial_width(InitialWidth::Fixed(8.0));
-    for k in 0..32u64 {
-        builder = builder.source(k, k as f64);
-    }
-    let runtime = Runtime::launch(builder.build().unwrap()).unwrap();
-    let door_handle = runtime.handle();
-    let acceptor = thread::spawn(move || serve_connections(listener, door_handle));
-
-    let clients: Vec<_> = (0..2u64)
-        .map(|c| {
-            thread::spawn(move || {
-                let mut client: RemoteStoreClient<u64, _> =
-                    RemoteStoreClient::with_window(TcpTransport::connect(addr).unwrap(), 8);
-                let mine: Vec<u64> = (0..32).filter(|k| k % 2 == c).collect();
-                for t in 1..=20u64 {
-                    // Fill the window with writes, harvest newest-first —
-                    // the out-of-order path on a real socket.
-                    let tickets: Vec<_> = mine
-                        .iter()
-                        .map(|&k| client.submit_write(&k, (k + t) as f64, t * 1_000).unwrap())
-                        .collect();
-                    for &ticket in tickets.iter().rev() {
-                        client.wait_write(ticket).unwrap();
-                    }
-                    let read_tickets: Vec<_> = mine
-                        .iter()
-                        .map(|&k| {
-                            client.submit_read(&k, Constraint::Absolute(2.0), t * 1_000).unwrap()
-                        })
-                        .collect();
-                    for &ticket in read_tickets.iter().rev() {
-                        let r = client.wait_read(ticket).unwrap();
-                        assert!(r.answer.width() <= 2.0 + 1e-9);
-                    }
-                }
-                client
-            })
-        })
-        .collect();
-    let mut done: Vec<RemoteStoreClient<u64, _>> =
-        clients.into_iter().map(|c| c.join().unwrap()).collect();
-    // One client closes the door; the other just hangs up.
-    done.pop().unwrap().shutdown().unwrap();
-    drop(done);
-    acceptor.join().unwrap().unwrap();
-    let store = runtime.into_store().unwrap();
-    assert_eq!(store.metrics().merged().totals().writes, 2 * 20 * 16);
-    assert_eq!(store.metrics().merged().totals().reads, 2 * 20 * 16);
-    for k in 0..32u64 {
-        assert_eq!(store.value(&k), Some((k + 20) as f64));
-    }
-}
-
-#[test]
-fn shutdown_cancels_subscriptions_and_drains_pending_pushes() {
-    // Satellite regression for the push channel: a client that shuts
-    // down with live subscriptions and a window of un-harvested writes
-    // (whose pushes are still in flight) must cancel every subscription
-    // and drain everything before closing the transport — and the
-    // server's per-key registries must come out empty.
-    use apcache_push::PushFilter;
-    let runtime = Runtime::launch(
-        ShardedStoreBuilder::new()
-            .shards(2)
-            .initial_width(InitialWidth::Fixed(4.0))
-            .source(0u64, 100.0)
-            .source(1u64, 200.0)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let handle = runtime.handle();
-    let stats_handle = runtime.handle();
-    let (listener, addr) = listener();
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
-
-    let mut client: RemoteStoreClient<u64, _> =
-        RemoteStoreClient::new(TcpTransport::connect(addr).unwrap());
-    let (_sub0, snap0) = client.subscribe(&0u64, PushFilter::Always, 0).unwrap();
-    let (_sub1, snap1) = client.subscribe(&1u64, PushFilter::Always, 0).unwrap();
-    assert!(snap0.contains(100.0));
-    assert!(snap1.contains(200.0));
-    // Escaping writes, left un-harvested: their responses AND the pushes
-    // they trigger are still on the wire when shutdown starts.
-    for t in 1..=5u64 {
-        client.submit_write(&0u64, 100.0 + 50.0 * t as f64, t * 1_000).unwrap();
-        client.submit_write(&1u64, 200.0 + 50.0 * t as f64, t * 1_000).unwrap();
-    }
-    client.shutdown().unwrap();
-
-    // The Shutdown verb closes the front door; the acceptor returning
-    // proves the connection (and its drainer) fully wound down.
-    acceptor.join().expect("acceptor thread").unwrap();
-
-    // No leaked registry entries server-side once the connection closed.
-    let stats = stats_handle.push_stats().unwrap();
-    assert_eq!(stats.subscribers, 0, "subscriber registry leaked entries");
-    assert_eq!(stats.watched_keys, 0, "watched-key registry leaked entries");
-    runtime.shutdown().unwrap();
-}
-
-#[test]
 fn failed_shutdown_still_closes_the_connection() {
     // The shutdown-consumes-self regression: when the drain inside
     // shutdown() fails (here: the peer answers with a request id that
     // was never issued), the client must still tear the transport down
-    // on its error path — the peer observes EOF, which is what
-    // serve_connections' join-based teardown relies on.
+    // on its error path — the peer observes EOF, which is what lets a
+    // server close the connection cleanly instead of force-closing it.
     use apcache_wire::{frame_to_vec, RemoteError, WireMessage, WireResponse};
     let (listener, addr) = listener();
     let server = thread::spawn(move || {

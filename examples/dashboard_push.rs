@@ -17,10 +17,11 @@ use std::net::TcpListener;
 use std::thread;
 
 use apcache::push::PushFilter;
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::Runtime;
 use apcache::shard::ShardedStoreBuilder;
 use apcache::store::{Constraint, InitialWidth};
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 const KEY: &str = "quote/ACME";
 const RHOS: [f64; 4] = [0.001, 0.01, 0.05, 0.2];
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let handle = runtime.handle();
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
     println!("serving {KEY} on {addr}\n");
 
     // Four dashboards, four precision contracts, four TCP connections.

@@ -1,6 +1,6 @@
 //! Metrics scrape: Prometheus-style observability on the serving port.
 //!
-//! Launches an actor-per-shard `Runtime` behind `serve_connections`, puts
+//! Launches an actor-per-shard `Runtime` behind `serve_reactor`, puts
 //! some frame traffic through it, then demonstrates both telemetry doors
 //! on the *same* TCP port:
 //!
@@ -22,9 +22,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::Runtime;
 use apcache::shard::{Constraint, InitialWidth, ShardedStoreBuilder};
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder =
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     println!("serving on {addr} (frames and GET /metrics share the port)");
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
 
     // Some framed traffic so the counters have something to say.
     let mut client: RemoteStoreClient<String, _> =

@@ -7,7 +7,7 @@
 //! `Completion`s out of order from the handle's queue. Part 2 runs the
 //! same idea across a real TCP socket: a `RemoteStoreClient` with an
 //! in-flight window keeps many requests on the wire at once, and the
-//! pipelined server (`serve_connections`) answers them as the shard
+//! pipelined server (`serve_reactor`) answers them as the shard
 //! actors finish, correlated by the v2 frame header's request id.
 //!
 //! Run with: `cargo run --example pipelined_clients`
@@ -16,9 +16,10 @@ use std::net::TcpListener;
 use std::thread;
 
 use apcache::queries::AggregateKind;
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::{Outcome, Runtime};
 use apcache::shard::{Constraint, InitialWidth, ShardedStoreBuilder};
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sixteen sensors on four shard actors.
@@ -62,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let door_handle = runtime.handle();
-    let acceptor = thread::spawn(move || serve_connections(listener, door_handle));
+    let acceptor =
+        thread::spawn(move || serve_reactor(listener, door_handle, ReactorConfig::default()));
 
     const TICKS: u64 = 100;
     const WINDOW: usize = 16;

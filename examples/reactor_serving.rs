@@ -36,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The event-driven door: a fixed pool of poller-driven workers
     // (default: up to four) serves every connection this listener
-    // accepts — the same wire contract as `serve_connections`, minus
-    // the two-threads-per-connection cost.
+    // accepts, with no thread per connection.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let server = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));

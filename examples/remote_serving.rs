@@ -1,6 +1,6 @@
 //! Remote serving: the shard fleet on the far side of a TCP socket.
 //!
-//! Launches an actor-per-shard `Runtime`, puts `serve_connections` in
+//! Launches an actor-per-shard `Runtime`, puts `serve_reactor` in
 //! front of it on an ephemeral localhost port, and drives it from two
 //! `RemoteStoreClient`s on real sockets — every read, write, and bounded
 //! aggregate crosses the wire as a compact binary frame (the paper's
@@ -14,9 +14,10 @@ use std::net::TcpListener;
 use std::thread;
 
 use apcache::queries::AggregateKind;
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::Runtime;
 use apcache::shard::{Constraint, InitialWidth, ShardedStoreBuilder};
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sixteen sensors on four shards behind the actor runtime.
@@ -28,12 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = Runtime::launch(builder.build()?)?;
     let handle = runtime.handle();
 
-    // The front door: accept TCP connections, serve each on its own
-    // thread with a cloned runtime handle.
+    // The front door: accept TCP connections and serve them all from
+    // the reactor's fixed worker pool.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     println!("serving {} shard actors on {addr}", runtime.shard_count());
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
 
     const TICKS: u64 = 200;
     let workers: Vec<_> = (0..2u32)

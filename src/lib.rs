@@ -9,8 +9,8 @@
 //! | [`store`] | `apcache-store` | **the serving façade**: `PrecisionStore` — precision-parameterized reads, writes, bounded aggregates, and metrics over generic keys |
 //! | [`shard`] | `apcache-shard` | **the scale-out layer**: `ShardedStore` — consistent-hash routing over `PrecisionStore` shards, same four verbs, merged metrics |
 //! | [`runtime`] | `apcache-runtime` | **the concurrent serving layer**: `Runtime` — one actor thread per shard, bounded mailboxes with backpressure, scatter/gather aggregates |
-//! | [`wire`] | `apcache-wire` | **the cross-process layer**: a compact binary frame protocol with loopback/TCP transports, `RemoteStoreClient` ↔ `StoreServer` |
-//! | [`reactor`] | `apcache-reactor` | **the event-driven serving core**: `serve_reactor` — a poll/epoll readiness loop driving 10k+ pipelined connections from a fixed worker pool, frame-coalescing push fan-out |
+//! | [`wire`] | `apcache-wire` | **the cross-process layer**: a compact binary frame protocol with loopback/TCP transports, the pipelined `RemoteStoreClient`, and the call-reply reference `StoreServer` |
+//! | [`reactor`] | `apcache-reactor` | **the pipelined door**: `serve_reactor` — a poll/epoll readiness loop driving 10k+ pipelined connections from a fixed worker pool in front of a `Runtime`, frame-coalescing push fan-out |
 //! | [`push`] | `apcache-push` | **the streaming layer's primitives**: per-key subscriber registry, hierarchical timer wheel, TTL leases |
 //! | [`core`] | `apcache-core` | interval algebra, the adaptive precision policy and its variants, source/cache protocol, analytic model, deterministic RNG |
 //! | [`queries`] | `apcache-queries` | bounded aggregate queries (SUM/MAX/MIN/AVG) with refresh-set selection |

@@ -1,235 +1,54 @@
 //! Pipelining conformance: a windowed client speaking the v2 wire
-//! protocol to the out-of-order pipelined server (`serve_pipelined` in
-//! front of the actor runtime) must be **bit-identical** to the same
+//! protocol to the out-of-order pipelined server (a `Reactor` in front
+//! of the actor runtime) must be **bit-identical** to the same
 //! operation sequence issued sequentially against a local
 //! `ShardedStore` under θ = 1 — answers, escape counts, refresh plans,
 //! final per-key protocol state, and metric totals — for window ∈
 //! {1, 4, 32} and shards ∈ {1, 2, 4}.
 //!
 //! Why this holds even out of order: submission order fixes each shard
-//! mailbox's order (the pipelined reader submits frames as they arrive,
+//! mailbox's order (the reactor worker submits frames as they arrive,
 //! and single-round aggregates issue all their legs at submit time), so
 //! per-key state transitions replay exactly; only the *responses* travel
 //! out of order, and the client reassembles them by ticket. The one
 //! genuinely asynchronous case — a multi-shard Relative aggregate, whose
-//! escalation rounds are issued later by the server's drainer — is
+//! escalation rounds are issued later, as their probes complete — is
 //! harvested to completion before dependent traffic is submitted (the
 //! trace flushes the window after each Relative aggregate), mirroring
 //! what a correct application does with a data-dependent query.
 
-use std::thread;
+mod common;
 
-use apcache::core::{Rng, MS_PER_SEC};
-use apcache::queries::AggregateKind;
-use apcache::runtime::Runtime;
-use apcache::shard::{ShardedStore, ShardedStoreBuilder};
-use apcache::store::{Constraint, InitialWidth, ReadResult, WriteOutcome};
-use apcache::wire::{loopback, serve_pipelined, RemoteStoreClient, ServerExit, Ticket};
+use apcache::reactor::{Reactor, ReactorConfig};
+use apcache::runtime::{Runtime, RuntimeHandle};
+use apcache::wire::{loopback, LoopbackStream, LoopbackTransport, RemoteStoreClient};
+use common::{assert_identical, fleet, run_sequential, run_windowed, trace, Op, Shape};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const WINDOWS: [usize; 3] = [1, 4, 32];
-const VNODES: usize = 64;
-const N_KEYS: u32 = 24;
-const TICKS: u64 = 120;
-const SEED: u64 = 0x41BE_2001;
+const SHAPE: Shape = Shape { n_keys: 24, ticks: 120, seed: 0x41BE_2001 };
 
-fn key(i: u32) -> String {
-    format!("sensor/{i:03}")
-}
-
-/// One operation of the shared trace, pre-generated so both systems
-/// replay byte-identical traffic.
-#[derive(Debug, Clone)]
-enum Op {
-    Write { key: String, value: f64, now: u64 },
-    Read { key: String, constraint: Constraint, now: u64 },
-    Aggregate { kind: AggregateKind, keys: Vec<String>, constraint: Constraint, now: u64 },
-}
-
-/// A deterministic interleaved read/write/aggregate trace: per-key
-/// random walks, rotating read constraints, periodic aggregates of all
-/// four kinds (Absolute/Exact mixed into the window; Relative present
-/// too, flushed at submission as documented above).
-fn trace(seed: u64) -> Vec<Op> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut values: Vec<f64> = (0..N_KEYS).map(|i| 10.0 + 10.0 * i as f64).collect();
-    let mut ops = Vec::new();
-    let kinds = [AggregateKind::Sum, AggregateKind::Max, AggregateKind::Min, AggregateKind::Avg];
-    for t in 1..=TICKS {
-        let now = t * MS_PER_SEC;
-        for i in 0..N_KEYS {
-            values[i as usize] += rng.normal_with(0.0, 4.0);
-            ops.push(Op::Write { key: key(i), value: values[i as usize], now });
-        }
-        for _ in 0..4 {
-            let i = rng.below(u64::from(N_KEYS)) as u32;
-            let constraint = match rng.below(3) {
-                0 => Constraint::Absolute(rng.uniform(1.0, 20.0)),
-                1 => Constraint::Relative(0.05),
-                _ => Constraint::Exact,
-            };
-            ops.push(Op::Read { key: key(i), constraint, now });
-        }
-        if t % 5 == 0 {
-            let fanout = 4 + rng.below(10) as u32;
-            let keys: Vec<String> = (0..fanout).map(|j| key((j * 5 + t as u32) % N_KEYS)).collect();
-            let kind = kinds[(t / 5) as usize % kinds.len()];
-            let constraint = match rng.below(4) {
-                0 => Constraint::Absolute(rng.uniform(5.0, 100.0)),
-                1 => Constraint::Relative(0.02),
-                2 => Constraint::Relative(0.5),
-                _ => Constraint::Exact,
-            };
-            ops.push(Op::Aggregate { kind, keys, constraint, now });
-        }
-    }
-    ops
-}
-
-fn fleet(shards: usize) -> ShardedStore<String> {
-    let mut b = ShardedStoreBuilder::new()
-        .shards(shards)
-        .vnodes(VNODES)
-        .alpha(1.0)
-        .rng(Rng::seed_from_u64(SEED ^ 2))
-        .initial_width(InitialWidth::Fixed(8.0));
-    for i in 0..N_KEYS {
-        b = b.source(key(i), 10.0 + 10.0 * i as f64);
-    }
-    b.build().expect("fleet config valid")
-}
-
-/// Per-op observable results, compared across the two executions.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Read(ReadResult),
-    Write(WriteOutcome),
-    Aggregate { lo_bits: u64, hi_bits: u64, refreshed: Vec<String> },
-}
-
-/// The sequential reference: every op applied in order on the local
-/// fleet.
-fn run_sequential(shards: usize, ops: &[Op]) -> (Vec<Outcome>, ShardedStore<String>) {
-    let mut store = fleet(shards);
-    let mut outcomes = Vec::with_capacity(ops.len());
-    for op in ops {
-        let outcome = match op {
-            Op::Write { key, value, now } => {
-                Outcome::Write(store.write(key, *value, *now).expect("known key"))
-            }
-            Op::Read { key, constraint, now } => {
-                Outcome::Read(store.read(key, *constraint, *now).expect("known key"))
-            }
-            Op::Aggregate { kind, keys, constraint, now } => {
-                let out = store.aggregate(*kind, keys, *constraint, *now).expect("valid query");
-                let (lo, hi) = out.answer.to_bits();
-                Outcome::Aggregate { lo_bits: lo, hi_bits: hi, refreshed: out.refreshed }
-            }
-        };
-        outcomes.push(outcome);
-    }
-    (outcomes, store)
-}
-
-/// The pipelined execution: ops submitted through a `window`-deep wire
-/// client against `serve_pipelined` + runtime, harvested in submission
-/// order whenever the window fills (and immediately after a Relative
-/// aggregate — its escalation rounds are data-dependent).
-fn run_pipelined(shards: usize, window: usize, ops: &[Op]) -> (Vec<Outcome>, ShardedStore<String>) {
-    let runtime = Runtime::launch(fleet(shards)).expect("runtime launches");
-    let handle = runtime.handle();
+/// One in-process pipelined connection in front of `handle`'s runtime.
+fn serve(handle: &RuntimeHandle<String>) -> (Reactor<LoopbackStream>, LoopbackTransport) {
+    let reactor = Reactor::launch(handle, ReactorConfig::default()).expect("reactor launches");
     let (server_end, client_end) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_end, handle).expect("serves"));
-    let mut client: RemoteStoreClient<String, _> =
-        RemoteStoreClient::with_window(client_end, window);
-
-    enum Pending {
-        Read(Ticket),
-        Write(Ticket),
-        Aggregate(Ticket),
-    }
-    let mut outcomes = Vec::with_capacity(ops.len());
-    let mut in_flight: Vec<Pending> = Vec::with_capacity(window);
-    let flush = |client: &mut RemoteStoreClient<String, _>,
-                 in_flight: &mut Vec<Pending>,
-                 outcomes: &mut Vec<Outcome>| {
-        for pending in in_flight.drain(..) {
-            outcomes.push(match pending {
-                Pending::Read(t) => Outcome::Read(client.wait_read(t).expect("known key")),
-                Pending::Write(t) => Outcome::Write(client.wait_write(t).expect("known key")),
-                Pending::Aggregate(t) => {
-                    let out = client.wait_aggregate(t).expect("valid query");
-                    let (lo, hi) = out.answer.to_bits();
-                    Outcome::Aggregate { lo_bits: lo, hi_bits: hi, refreshed: out.refreshed }
-                }
-            });
-        }
-    };
-    for op in ops {
-        if in_flight.len() >= window {
-            flush(&mut client, &mut in_flight, &mut outcomes);
-        }
-        match op {
-            Op::Write { key, value, now } => {
-                in_flight.push(Pending::Write(client.submit_write(key, *value, *now).unwrap()));
-            }
-            Op::Read { key, constraint, now } => {
-                in_flight.push(Pending::Read(client.submit_read(key, *constraint, *now).unwrap()));
-            }
-            Op::Aggregate { kind, keys, constraint, now } => {
-                in_flight.push(Pending::Aggregate(
-                    client.submit_aggregate(*kind, keys, *constraint, *now).unwrap(),
-                ));
-                if matches!(constraint, Constraint::Relative(_)) {
-                    flush(&mut client, &mut in_flight, &mut outcomes);
-                }
-            }
-        }
-    }
-    flush(&mut client, &mut in_flight, &mut outcomes);
-    client.shutdown().expect("clean shutdown");
-    assert_eq!(server.join().expect("server thread"), ServerExit::Shutdown);
-    let store = runtime.into_store().expect("drain");
-    (outcomes, store)
-}
-
-/// Final-state equality: every key's protocol state and the metric
-/// totals.
-fn assert_stores_identical(a: &ShardedStore<String>, b: &ShardedStore<String>, tag: &str) {
-    let final_now = (TICKS + 1) * MS_PER_SEC;
-    for i in 0..N_KEYS {
-        let k = key(i);
-        assert_eq!(a.value(&k), b.value(&k), "{tag}: value of {k}");
-        assert_eq!(a.internal_width(&k), b.internal_width(&k), "{tag}: width of {k}");
-        let (ia, ib) = (a.cached_interval(&k, final_now), b.cached_interval(&k, final_now));
-        match (ia, ib) {
-            (Some(ia), Some(ib)) => {
-                assert_eq!(ia.to_bits(), ib.to_bits(), "{tag}: interval of {k}")
-            }
-            (None, None) => {}
-            other => panic!("{tag}: cache residency of {k} differs: {other:?}"),
-        }
-    }
-    assert_eq!(
-        a.metrics().merged().totals(),
-        b.metrics().merged().totals(),
-        "{tag}: metric totals"
-    );
+    reactor.add_connection(server_end.into_inner());
+    (reactor, client_end)
 }
 
 #[test]
 fn pipelined_window_is_bit_identical_to_sequential() {
-    let ops = trace(SEED);
+    let ops = trace(&SHAPE, SHAPE.seed);
     for &shards in &SHARD_COUNTS {
-        let (reference, reference_store) = run_sequential(shards, &ops);
+        let reference = run_sequential(&SHAPE, shards, &ops);
         for &window in &WINDOWS {
+            let runtime = Runtime::launch(fleet(&SHAPE, shards)).expect("runtime launches");
+            let (reactor, client_end) = serve(&runtime.handle());
+            let outcomes = run_windowed(client_end, window, &ops);
+            reactor.join();
+            let piped = (outcomes, runtime.into_store().expect("drain"));
             let tag = format!("shards={shards} window={window}");
-            let (piped, piped_store) = run_pipelined(shards, window, &ops);
-            assert_eq!(piped.len(), reference.len(), "{tag}: op count");
-            for (i, (p, r)) in piped.iter().zip(&reference).enumerate() {
-                assert_eq!(p, r, "{tag}: op #{i} ({:?})", ops[i]);
-            }
-            assert_stores_identical(&piped_store, &reference_store, &tag);
+            assert_identical(&SHAPE, &ops, &piped, &reference, &tag);
         }
     }
 }
@@ -238,11 +57,9 @@ fn pipelined_window_is_bit_identical_to_sequential() {
 fn remote_metrics_match_the_drained_fleet() {
     // The metrics snapshot crosses the pipelined path too: what the
     // client reads over the wire equals the drained fleet's own rollup.
-    let ops = trace(SEED ^ 7);
-    let runtime = Runtime::launch(fleet(2)).expect("runtime launches");
-    let handle = runtime.handle();
-    let (server_end, client_end) = loopback();
-    let server = thread::spawn(move || serve_pipelined(server_end, handle).expect("serves"));
+    let ops = trace(&SHAPE, SHAPE.seed ^ 7);
+    let runtime = Runtime::launch(fleet(&SHAPE, 2)).expect("runtime launches");
+    let (reactor, client_end) = serve(&runtime.handle());
     let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::with_window(client_end, 8);
     for op in ops.iter().take(400) {
         match op {
@@ -259,7 +76,7 @@ fn remote_metrics_match_the_drained_fleet() {
     }
     let remote = client.metrics().expect("metrics");
     client.shutdown().expect("clean shutdown");
-    server.join().expect("server thread");
+    reactor.join();
     let store = runtime.into_store().expect("drain");
     assert_eq!(remote.totals(), store.metrics().merged().totals());
 }

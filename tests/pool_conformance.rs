@@ -7,21 +7,19 @@
 //!   under θ = 1, because sticky member pinning preserves per-client
 //!   FIFO through the shared socket;
 //! * the final metric rollups of the two serving runtimes are equal;
-//! * the pool's shutdown drains both member sockets to a clean
-//!   `ServerExit::Shutdown`, same as the per-socket clients do.
+//! * the pool's shutdown drains both member sockets by `Shutdown`
+//!   handshake (nothing force-closed), same as the per-socket clients do.
 
 use std::net::TcpListener;
 use std::thread;
 
 use apcache::core::{Interval, Rng, MS_PER_SEC};
 use apcache::queries::AggregateKind;
-use apcache::runtime::Runtime;
+use apcache::reactor::{serve_reactor, ReactorConfig};
+use apcache::runtime::{Runtime, RuntimeHandle};
 use apcache::shard::ShardedStoreBuilder;
 use apcache::store::{Constraint, InitialWidth, ReadResult, WriteOutcome};
-use apcache::wire::{
-    serve_connections, serve_pipelined, ClientPool, PooledClient, RemoteStoreClient, ServerExit,
-    TcpTransport,
-};
+use apcache::wire::{ClientPool, PooledClient, RemoteStoreClient, TcpTransport, WireError};
 
 const LOGICAL_CLIENTS: usize = 8;
 const POOL_SOCKETS: usize = 2;
@@ -101,25 +99,32 @@ fn launch_fleet() -> Runtime<String> {
     Runtime::launch(b.build().expect("fleet config valid")).expect("runtime launches")
 }
 
-/// Serve `sockets` pipelined connections off one runtime; returns the
-/// connected client transports and the server threads.
+/// Serve one runtime through one reactor listener; returns `sockets`
+/// connected client transports and the acceptor thread.
 fn serve_sockets(
     runtime: &Runtime<String>,
     sockets: usize,
-) -> (Vec<TcpTransport>, Vec<thread::JoinHandle<ServerExit>>) {
-    let mut transports = Vec::new();
-    let mut servers = Vec::new();
-    for _ in 0..sockets {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("local addr");
-        let handle = runtime.handle();
-        servers.push(thread::spawn(move || {
-            let transport = TcpTransport::accept(&listener).expect("accept");
-            serve_pipelined(transport, handle).expect("serving succeeds")
-        }));
-        transports.push(TcpTransport::connect(addr).expect("connect"));
-    }
-    (transports, servers)
+) -> (Vec<TcpTransport>, thread::JoinHandle<Result<(), WireError>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let handle = runtime.handle();
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
+    let transports = (0..sockets).map(|_| TcpTransport::connect(addr).expect("connect")).collect();
+    (transports, acceptor)
+}
+
+/// Connections the reactor had to force-close at teardown: zero means
+/// every one ended by `Shutdown` handshake or clean EOF.
+fn forced_closes(handle: &RuntimeHandle<String>) -> u64 {
+    handle
+        .telemetry()
+        .registry()
+        .counter(
+            "apcache_wire_forced_closes_total",
+            "Idle or lingering connections force-closed at listener teardown.",
+            &[],
+        )
+        .get()
 }
 
 /// The three verbs a trace needs, abstracted over pooled vs dedicated
@@ -203,7 +208,7 @@ fn run_trace(client: usize, driver: &mut dyn Driver) -> Vec<OpResult> {
 fn eight_logical_clients_over_two_sockets_match_per_client_sockets_bit_for_bit() {
     // Deployment A: the pool. Two sockets, eight logical handles.
     let runtime_a = launch_fleet();
-    let (transports, servers_a) = serve_sockets(&runtime_a, POOL_SOCKETS);
+    let (transports, acceptor_a) = serve_sockets(&runtime_a, POOL_SOCKETS);
     let mut pool: ClientPool<String, _> = ClientPool::new(transports);
     let workers_a: Vec<_> = (0..LOGICAL_CLIENTS)
         .map(|c| {
@@ -219,7 +224,7 @@ fn eight_logical_clients_over_two_sockets_match_per_client_sockets_bit_for_bit()
 
     // Deployment B: one socket per client, same runtime shape.
     let runtime_b = launch_fleet();
-    let (transports, servers_b) = serve_sockets(&runtime_b, LOGICAL_CLIENTS);
+    let (transports, acceptor_b) = serve_sockets(&runtime_b, LOGICAL_CLIENTS);
     let clients_b: Vec<RemoteStoreClient<String, _>> =
         transports.into_iter().map(RemoteStoreClient::new).collect();
     let workers_b: Vec<_> = clients_b
@@ -251,23 +256,21 @@ fn eight_logical_clients_over_two_sockets_match_per_client_sockets_bit_for_bit()
     }
     assert_eq!(metrics_a, metrics_b, "serving metrics diverged between deployments");
 
-    // Both deployments drain to a clean server shutdown.
+    // Both deployments drain to a clean server shutdown: every
+    // `Shutdown` is acknowledged and no connection is force-closed.
     pool.shutdown().expect("pool drains both sockets");
-    for s in servers_a {
-        assert_eq!(s.join().expect("pooled server"), ServerExit::Shutdown);
-    }
+    acceptor_a.join().expect("pooled acceptor").expect("pooled door exits cleanly");
     for client in drained_b {
         client.shutdown().expect("direct client drains");
     }
-    for s in servers_b {
-        assert_eq!(s.join().expect("direct server"), ServerExit::Shutdown);
-    }
+    acceptor_b.join().expect("direct acceptor").expect("direct door exits cleanly");
+    assert_eq!(forced_closes(&runtime_a.handle()), 0, "a pooled member was force-closed");
+    assert_eq!(forced_closes(&runtime_b.handle()), 0, "a direct client was force-closed");
     runtime_a.shutdown().expect("runtime A drains");
     runtime_b.shutdown().expect("runtime B drains");
 }
 
-/// Regression: a pool draining through **one** `serve_connections`
-/// listener. `ClientPool::shutdown` walks its members sequentially, so
+/// Regression: a pool draining through **one** listener. `ClientPool::shutdown` walks its members sequentially, so
 /// the first member's `Shutdown` stops the accept loop while members
 /// 2..n still have their own handshakes in flight. The listener must
 /// give those sibling connections a drain grace instead of force-closing
@@ -276,17 +279,10 @@ fn eight_logical_clients_over_two_sockets_match_per_client_sockets_bit_for_bit()
 #[test]
 fn pool_drains_cleanly_through_one_listener() {
     let runtime = launch_fleet();
-    let stats_handle = runtime.handle();
-    let serve_handle = runtime.handle();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("local addr");
-    let acceptor = thread::spawn(move || serve_connections(listener, serve_handle));
-
     // Three member sockets into the same listener, eight logical
     // clients multiplexed over them — the shape ClientPool deploys
     // against a single serving port.
-    let transports: Vec<TcpTransport> =
-        (0..3).map(|_| TcpTransport::connect(addr).expect("connect member")).collect();
+    let (transports, acceptor) = serve_sockets(&runtime, 3);
     let mut pool: ClientPool<String, _> = ClientPool::new(transports);
     let workers: Vec<_> = (0..LOGICAL_CLIENTS)
         .map(|c| {
@@ -302,14 +298,9 @@ fn pool_drains_cleanly_through_one_listener() {
     // first member's Shutdown stops the acceptor, and members 2 and 3
     // still get to finish their own Shutdown handshakes.
     pool.shutdown().expect("pool drains all members through one listener");
-    acceptor.join().expect("acceptor thread").expect("serve_connections exits cleanly");
+    acceptor.join().expect("acceptor thread").expect("the door exits cleanly");
 
     // Nothing was force-closed: every connection ended by handshake.
-    let forced = stats_handle.telemetry().registry().counter(
-        "apcache_wire_forced_closes_total",
-        "Idle or lingering connections force-closed at listener teardown.",
-        &[],
-    );
-    assert_eq!(forced.get(), 0, "pool members were force-closed mid-drain");
+    assert_eq!(forced_closes(&runtime.handle()), 0, "pool members were force-closed mid-drain");
     runtime.shutdown().expect("runtime drains");
 }

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use apcache::core::{Key, Rng, MS_PER_SEC};
 use apcache::push::{FallbackWidth, LeaseConfig, PushFilter, PushReason};
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::{Outcome, Runtime};
 use apcache::shard::ShardedStoreBuilder;
 use apcache::sim::stats::Stats;
@@ -29,7 +30,7 @@ use apcache::sim::systems::{
 };
 use apcache::sim::CacheSystem;
 use apcache::store::InitialWidth;
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 const N_KEYS: usize = 12;
 const TICKS: u64 = 50;
@@ -162,7 +163,7 @@ fn vanished_tcp_subscriber_leaves_no_registry_entries() {
     let stats_handle = runtime.handle();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
 
     {
         let mut client: RemoteStoreClient<u64, _> =

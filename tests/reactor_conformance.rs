@@ -1,16 +1,20 @@
-//! Reactor-door conformance: the event-driven `serve_reactor` must be
-//! **bit-identical on the wire** to the threaded `serve_connections` —
-//! same answers, same escapes, same push streams in per-subscription
-//! order, same plain-HTTP `GET /metrics` behavior, same clean
-//! `ClientPool` teardown — while multiplexing every connection over a
-//! fixed worker pool instead of two threads per connection.
+//! Reactor-door conformance: the event-driven `serve_reactor` — the one
+//! pipelined door — must be **bit-identical over real TCP** to the same
+//! operations applied in process: same answers, same escapes, same
+//! refresh plans and final per-key state as a sequential local
+//! `ShardedStore`; the same push streams in per-subscription order as an
+//! in-process `RuntimeHandle::subscribe`; plus plain-HTTP `GET /metrics`
+//! beside frame clients, clean `ClientPool` teardown, and per-socket
+//! frame coalescing.
 //!
 //! Why bit-identity holds: the reactor worker submits frames in arrival
-//! order (fixing each shard mailbox's order exactly as the threaded
-//! reader does), and only the responses travel out of order, reassembled
-//! by ticket client-side. The one data-dependent case — a multi-shard
-//! Relative aggregate's escalation rounds — is flushed at submission,
-//! the same discipline `pipelining_conformance` documents.
+//! order (fixing each shard mailbox's order), and only the responses
+//! travel out of order, reassembled by ticket client-side. The one
+//! data-dependent case — a multi-shard Relative aggregate's escalation
+//! rounds — is flushed at submission, the same discipline
+//! `pipelining_conformance` documents.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -19,54 +23,27 @@ use std::time::{Duration, Instant};
 
 use apcache::core::{Rng, MS_PER_SEC};
 use apcache::push::{PushEvent, PushFilter};
-use apcache::queries::AggregateKind;
 use apcache::reactor::{serve_reactor, ReactorConfig};
-use apcache::runtime::{Runtime, RuntimeHandle};
-use apcache::shard::{ShardedStore, ShardedStoreBuilder};
-use apcache::store::{Constraint, InitialWidth, ReadResult, WriteOutcome};
-use apcache::wire::{serve_connections, ClientPool, RemoteStoreClient, TcpTransport, Ticket};
+use apcache::runtime::{Outcome, Runtime, RuntimeHandle};
+use apcache::shard::ShardedStore;
+use apcache::store::Constraint;
+use apcache::wire::{ClientPool, RemoteStoreClient, TcpTransport, Ticket};
+use common::{assert_identical, key, run_sequential, run_windowed, trace, Shape};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const WINDOWS: [usize; 2] = [1, 32];
-const N_KEYS: u32 = 16;
-const TICKS: u64 = 60;
-const SEED: u64 = 0x4EAC_2001;
-
-fn key(i: u32) -> String {
-    format!("sensor/{i:03}")
-}
+const SHAPE: Shape = Shape { n_keys: 16, ticks: 60, seed: 0x4EAC_2001 };
+const N_KEYS: u32 = SHAPE.n_keys;
+const SEED: u64 = SHAPE.seed;
 
 fn fleet(shards: usize) -> ShardedStore<String> {
-    let mut b = ShardedStoreBuilder::new()
-        .shards(shards)
-        .vnodes(64)
-        .alpha(1.0)
-        .rng(Rng::seed_from_u64(SEED ^ 2))
-        .initial_width(InitialWidth::Fixed(8.0));
-    for i in 0..N_KEYS {
-        b = b.source(key(i), 10.0 + 10.0 * i as f64);
-    }
-    b.build().expect("fleet config valid")
+    common::fleet(&SHAPE, shards)
 }
 
-/// Which serving door fronts the runtime for a run.
-#[derive(Clone, Copy, Debug)]
-enum Door {
-    Threaded,
-    Reactor,
-}
-
-/// Serve one TCP listener through the chosen door on its own thread.
-fn spawn_door(
-    door: Door,
-    listener: TcpListener,
-    handle: RuntimeHandle<String>,
-) -> thread::JoinHandle<()> {
-    thread::spawn(move || match door {
-        Door::Threaded => serve_connections(listener, handle).expect("threaded door serves"),
-        Door::Reactor => {
-            serve_reactor(listener, handle, ReactorConfig::default()).expect("reactor door serves")
-        }
+/// Serve one TCP listener through the reactor on its own thread.
+fn spawn_reactor(listener: TcpListener, handle: RuntimeHandle<String>) -> thread::JoinHandle<()> {
+    thread::spawn(move || {
+        serve_reactor(listener, handle, ReactorConfig::default()).expect("reactor door serves")
     })
 }
 
@@ -74,163 +51,27 @@ fn spawn_door(
 // 1. Request/response bit-identity under pipelining.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write { key: String, value: f64, now: u64 },
-    Read { key: String, constraint: Constraint, now: u64 },
-    Aggregate { kind: AggregateKind, keys: Vec<String>, constraint: Constraint, now: u64 },
-}
-
-/// The shared deterministic trace: per-key walks, rotating constraints,
-/// periodic aggregates of every kind.
-fn trace(seed: u64) -> Vec<Op> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut values: Vec<f64> = (0..N_KEYS).map(|i| 10.0 + 10.0 * i as f64).collect();
-    let mut ops = Vec::new();
-    let kinds = [AggregateKind::Sum, AggregateKind::Max, AggregateKind::Min, AggregateKind::Avg];
-    for t in 1..=TICKS {
-        let now = t * MS_PER_SEC;
-        for i in 0..N_KEYS {
-            values[i as usize] += rng.normal_with(0.0, 4.0);
-            ops.push(Op::Write { key: key(i), value: values[i as usize], now });
-        }
-        for _ in 0..4 {
-            let i = rng.below(u64::from(N_KEYS)) as u32;
-            let constraint = match rng.below(3) {
-                0 => Constraint::Absolute(rng.uniform(1.0, 20.0)),
-                1 => Constraint::Relative(0.05),
-                _ => Constraint::Exact,
-            };
-            ops.push(Op::Read { key: key(i), constraint, now });
-        }
-        if t % 5 == 0 {
-            let fanout = 4 + rng.below(8) as u32;
-            let keys: Vec<String> = (0..fanout).map(|j| key((j * 3 + t as u32) % N_KEYS)).collect();
-            let kind = kinds[(t / 5) as usize % kinds.len()];
-            let constraint = match rng.below(4) {
-                0 => Constraint::Absolute(rng.uniform(5.0, 100.0)),
-                1 => Constraint::Relative(0.02),
-                2 => Constraint::Relative(0.5),
-                _ => Constraint::Exact,
-            };
-            ops.push(Op::Aggregate { kind, keys, constraint, now });
-        }
-    }
-    ops
-}
-
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Read(ReadResult),
-    Write(WriteOutcome),
-    Aggregate { lo_bits: u64, hi_bits: u64, refreshed: Vec<String> },
-}
-
-/// Run the trace through one door with a `window`-deep pipelined client
-/// over real TCP; return every op's observable result and the drained
-/// fleet.
-fn run_door(
-    door: Door,
-    shards: usize,
-    window: usize,
-    ops: &[Op],
-) -> (Vec<Outcome>, ShardedStore<String>) {
-    let runtime = Runtime::launch(fleet(shards)).expect("runtime launches");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("local addr");
-    let server = spawn_door(door, listener, runtime.handle());
-    let mut client: RemoteStoreClient<String, _> =
-        RemoteStoreClient::with_window(TcpTransport::connect(addr).expect("connect"), window);
-
-    enum Pending {
-        Read(Ticket),
-        Write(Ticket),
-        Aggregate(Ticket),
-    }
-    let mut outcomes = Vec::with_capacity(ops.len());
-    let mut in_flight: Vec<Pending> = Vec::with_capacity(window);
-    let flush = |client: &mut RemoteStoreClient<String, _>,
-                 in_flight: &mut Vec<Pending>,
-                 outcomes: &mut Vec<Outcome>| {
-        for pending in in_flight.drain(..) {
-            outcomes.push(match pending {
-                Pending::Read(t) => Outcome::Read(client.wait_read(t).expect("known key")),
-                Pending::Write(t) => Outcome::Write(client.wait_write(t).expect("known key")),
-                Pending::Aggregate(t) => {
-                    let out = client.wait_aggregate(t).expect("valid query");
-                    let (lo, hi) = out.answer.to_bits();
-                    Outcome::Aggregate { lo_bits: lo, hi_bits: hi, refreshed: out.refreshed }
-                }
-            });
-        }
-    };
-    for op in ops {
-        if in_flight.len() >= window {
-            flush(&mut client, &mut in_flight, &mut outcomes);
-        }
-        match op {
-            Op::Write { key, value, now } => {
-                in_flight.push(Pending::Write(client.submit_write(key, *value, *now).unwrap()));
-            }
-            Op::Read { key, constraint, now } => {
-                in_flight.push(Pending::Read(client.submit_read(key, *constraint, *now).unwrap()));
-            }
-            Op::Aggregate { kind, keys, constraint, now } => {
-                in_flight.push(Pending::Aggregate(
-                    client.submit_aggregate(*kind, keys, *constraint, *now).unwrap(),
-                ));
-                if matches!(constraint, Constraint::Relative(_)) {
-                    flush(&mut client, &mut in_flight, &mut outcomes);
-                }
-            }
-        }
-    }
-    flush(&mut client, &mut in_flight, &mut outcomes);
-    client.shutdown().expect("clean shutdown");
-    server.join().expect("door thread");
-    let store = runtime.into_store().expect("drain");
-    (outcomes, store)
-}
-
-fn assert_stores_identical(a: &ShardedStore<String>, b: &ShardedStore<String>, tag: &str) {
-    let final_now = (TICKS + 1) * MS_PER_SEC;
-    for i in 0..N_KEYS {
-        let k = key(i);
-        assert_eq!(a.value(&k), b.value(&k), "{tag}: value of {k}");
-        assert_eq!(a.internal_width(&k), b.internal_width(&k), "{tag}: width of {k}");
-        let (ia, ib) = (a.cached_interval(&k, final_now), b.cached_interval(&k, final_now));
-        match (ia, ib) {
-            (Some(ia), Some(ib)) => {
-                assert_eq!(ia.to_bits(), ib.to_bits(), "{tag}: interval of {k}")
-            }
-            (None, None) => {}
-            other => panic!("{tag}: cache residency of {k} differs: {other:?}"),
-        }
-    }
-    assert_eq!(
-        a.metrics().merged().totals(),
-        b.metrics().merged().totals(),
-        "{tag}: metric totals"
-    );
-}
-
-/// The acceptance sweep: at θ = 1 the two doors must agree bit-for-bit —
-/// every answer, every escape, every refresh plan, the final per-key
-/// protocol state, and the metric totals — at every shard count and
-/// window depth.
+/// The acceptance sweep: at θ = 1 a `window`-deep pipelined client over
+/// real TCP must agree bit-for-bit with the sequential in-process
+/// reference — every answer, every escape, every refresh plan, the final
+/// per-key protocol state, and the metric totals — at every shard count
+/// and window depth.
 #[test]
-fn reactor_door_is_bit_identical_to_threaded_door() {
-    let ops = trace(SEED);
+fn reactor_door_is_bit_identical_to_sequential_reference() {
+    let ops = trace(&SHAPE, SEED);
     for &shards in &SHARD_COUNTS {
+        let reference = run_sequential(&SHAPE, shards, &ops);
         for &window in &WINDOWS {
+            let runtime = Runtime::launch(fleet(shards)).expect("runtime launches");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+            let addr = listener.local_addr().expect("local addr");
+            let server = spawn_reactor(listener, runtime.handle());
+            let transport = TcpTransport::connect(addr).expect("connect");
+            let outcomes = run_windowed(transport, window, &ops);
+            server.join().expect("door thread");
+            let served = (outcomes, runtime.into_store().expect("drain"));
             let tag = format!("shards={shards} window={window}");
-            let (threaded, threaded_store) = run_door(Door::Threaded, shards, window, &ops);
-            let (reactor, reactor_store) = run_door(Door::Reactor, shards, window, &ops);
-            assert_eq!(reactor.len(), threaded.len(), "{tag}: op count");
-            for (i, (r, t)) in reactor.iter().zip(&threaded).enumerate() {
-                assert_eq!(r, t, "{tag}: op #{i} ({:?})", ops[i]);
-            }
-            assert_stores_identical(&reactor_store, &threaded_store, &tag);
+            assert_identical(&SHAPE, &ops, &served, &reference, &tag);
         }
     }
 }
@@ -241,14 +82,27 @@ fn reactor_door_is_bit_identical_to_threaded_door() {
 
 const SUBSCRIBED: u32 = 6;
 
-/// Subscribe to the first six keys, drive escaping walks over all
-/// sixteen, cancel, and return each subscription's push stream in
-/// arrival order.
-fn run_push_door(door: Door) -> Vec<Vec<PushEvent<String>>> {
+/// Wide walks over all sixteen keys (σ = 30 against an initial width of
+/// 8), so plenty of writes escape and push; unsubscribed keys get
+/// traffic too, which must never leak into a stream.
+fn escaping_walk(mut write: impl FnMut(&String, f64, u64)) {
+    let mut rng = Rng::seed_from_u64(SEED ^ 0xBEEF);
+    let mut values: Vec<f64> = (0..N_KEYS).map(|i| 10.0 + 10.0 * i as f64).collect();
+    for t in 1..=30u64 {
+        for i in 0..N_KEYS {
+            values[i as usize] += rng.normal_with(0.0, 30.0);
+            write(&key(i), values[i as usize], t * MS_PER_SEC);
+        }
+    }
+}
+
+/// Subscribe to the first six keys over TCP, drive the walk, cancel, and
+/// return each subscription's push stream in arrival order.
+fn push_streams_over_tcp() -> Vec<Vec<PushEvent<String>>> {
     let runtime = Runtime::launch(fleet(2)).expect("runtime launches");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let server = spawn_door(door, listener, runtime.handle());
+    let server = spawn_reactor(listener, runtime.handle());
     let mut client: RemoteStoreClient<String, _> =
         RemoteStoreClient::new(TcpTransport::connect(addr).expect("connect"));
 
@@ -260,19 +114,9 @@ fn run_push_door(door: Door) -> Vec<Vec<PushEvent<String>>> {
             sub
         })
         .collect();
-
-    // Wide walks (σ = 30 against an initial width of 8) so plenty of
-    // writes escape and push; unsubscribed keys get traffic too, which
-    // must never leak into a stream.
-    let mut rng = Rng::seed_from_u64(SEED ^ 0xBEEF);
-    let mut values: Vec<f64> = (0..N_KEYS).map(|i| 10.0 + 10.0 * i as f64).collect();
-    for t in 1..=30u64 {
-        let now = t * MS_PER_SEC;
-        for i in 0..N_KEYS {
-            values[i as usize] += rng.normal_with(0.0, 30.0);
-            client.write(&key(i), values[i as usize], now).expect("known key");
-        }
-    }
+    escaping_walk(|k, value, now| {
+        client.write(k, value, now).expect("known key");
+    });
 
     // Every push a write triggered is client-queued by the time that
     // write's own ack is harvested: the shard actor emits the push
@@ -293,15 +137,42 @@ fn run_push_door(door: Door) -> Vec<Vec<PushEvent<String>>> {
     streams
 }
 
+/// The reference: the same subscriptions and the same walk on an
+/// identically built fleet, in process through `RuntimeHandle` — no
+/// wire, no reactor.
+fn push_streams_in_process() -> Vec<Vec<PushEvent<String>>> {
+    let runtime = Runtime::launch(fleet(2)).expect("runtime launches");
+    let handle = runtime.handle();
+    let subs: Vec<_> = (0..SUBSCRIBED)
+        .map(|i| handle.subscribe(&key(i), PushFilter::Always, 0).expect("subscribe").0)
+        .collect();
+    escaping_walk(|k, value, now| {
+        handle.write(k, value, now).expect("known key");
+    });
+    // A blocking write harvests only its own ticket; the pushes it
+    // triggered stay queued, in emission order, for this drain.
+    let mut streams: Vec<Vec<PushEvent<String>>> = vec![Vec::new(); SUBSCRIBED as usize];
+    while let Some(completion) = handle.poll() {
+        let idx = subs.iter().position(|&s| s == completion.ticket).expect("unknown ticket");
+        match completion.outcome.expect("push completions carry no error") {
+            Outcome::Push(event) => streams[idx].push(event),
+            other => panic!("expected a push, got {other:?}"),
+        }
+    }
+    drop(handle);
+    runtime.shutdown().expect("runtime drains");
+    streams
+}
+
 #[test]
-fn push_streams_match_between_doors_in_per_subscription_order() {
-    let threaded = run_push_door(Door::Threaded);
-    let reactor = run_push_door(Door::Reactor);
-    let total: usize = threaded.iter().map(Vec::len).sum();
+fn push_streams_match_in_process_subscriptions_in_per_subscription_order() {
+    let reference = push_streams_in_process();
+    let served = push_streams_over_tcp();
+    let total: usize = reference.iter().map(Vec::len).sum();
     assert!(total > 0, "the walk produced no pushes at all");
-    for (i, (t, r)) in threaded.iter().zip(&reactor).enumerate() {
-        assert!(t.iter().all(|e| e.key == key(i as u32)), "stream {i}: foreign key leaked in");
-        assert_eq!(t, r, "subscription {i}: push streams diverged between doors");
+    for (i, (want, got)) in reference.iter().zip(&served).enumerate() {
+        assert!(want.iter().all(|e| e.key == key(i as u32)), "stream {i}: foreign key leaked in");
+        assert_eq!(got, want, "subscription {i}: the wire's push stream diverged");
     }
 }
 
@@ -324,7 +195,7 @@ fn reactor_port_serves_plain_http_scrapes_beside_frame_clients() {
     let runtime = Runtime::launch(fleet(2)).expect("runtime launches");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let server = spawn_door(Door::Reactor, listener, runtime.handle());
+    let server = spawn_reactor(listener, runtime.handle());
 
     // A frame client holds its connection open across the scrapes.
     let mut client: RemoteStoreClient<String, _> =
@@ -367,7 +238,7 @@ fn pool_drains_cleanly_through_one_reactor_listener() {
     let stats_handle = runtime.handle();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let server = spawn_door(Door::Reactor, listener, runtime.handle());
+    let server = spawn_reactor(listener, runtime.handle());
 
     // Three member sockets into the same reactor port, six logical
     // clients multiplexed over them, each on its own key.

@@ -18,7 +18,7 @@
 //!   post-flip exposition still agrees with the post-flip rollup and
 //!   never goes backwards.
 //! * **HTTP door** — a raw-TCP `GET /metrics` against a
-//!   `serve_connections` port returns valid Prometheus text (0.0.4
+//!   `serve_reactor` port returns valid Prometheus text (0.0.4
 //!   content type) whose counters equal the rollup; any other path is a
 //!   404; frame peers on the same port are unaffected.
 
@@ -30,11 +30,12 @@ use std::thread;
 use apcache::core::cost::CostModel;
 use apcache::core::{Rng, MS_PER_SEC};
 use apcache::queries::AggregateKind;
+use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::Runtime;
 use apcache::shard::ShardedStoreBuilder;
 use apcache::store::{Constraint, InitialWidth, KeyMetrics, PrecisionStore, StoreBuilder};
 use apcache::telemetry::TraceKind;
-use apcache::wire::{serve_connections, RemoteStoreClient, TcpTransport};
+use apcache::wire::{RemoteStoreClient, TcpTransport};
 
 const N_KEYS: u32 = 16;
 const TICKS: u64 = 60;
@@ -387,7 +388,7 @@ fn trace_ring_records_the_request_lifecycle() {
 }
 
 /// The acceptance path: a plain-HTTP scraper and frame-protocol clients
-/// share one `serve_connections` port, and the scrape agrees with the
+/// share one `serve_reactor` port, and the scrape agrees with the
 /// drained rollup bit for bit.
 #[test]
 fn http_get_metrics_on_the_serving_port_matches_rollup() {
@@ -396,7 +397,7 @@ fn http_get_metrics_on_the_serving_port_matches_rollup() {
     let stats_handle = runtime.handle();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let acceptor = thread::spawn(move || serve_connections(listener, handle));
+    let acceptor = thread::spawn(move || serve_reactor(listener, handle, ReactorConfig::default()));
 
     // Frame traffic first, so the counters are interesting.
     let mut client: RemoteStoreClient<String, _> =
@@ -450,6 +451,6 @@ fn http_get_metrics_on_the_serving_port_matches_rollup() {
     // The frame client on the shared port is unaffected by the scrapes.
     client.read(&key(0), Constraint::Exact, 21 * MS_PER_SEC).expect("read after scrape");
     client.shutdown().expect("shutdown frame client");
-    acceptor.join().expect("acceptor").expect("serve_connections");
+    acceptor.join().expect("acceptor").expect("serve_reactor");
     runtime.shutdown().expect("runtime shutdown");
 }
