@@ -220,6 +220,25 @@ fn lease_verbs_serve_over_a_pipelined_connection() {
 }
 
 #[test]
+fn an_export_frame_naming_a_key_twice_is_refused_and_detaches_nothing() {
+    let runtime = fleet_123();
+    let (reactor, client_t) = serve_loopback(&runtime);
+    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::new(client_t);
+    let before = client.read(&1, Constraint::Absolute(1e9), 0).unwrap();
+    // The frame body comes from the peer; `[k, k]` once detached `k` and
+    // then failed on the second copy, destroying the key.
+    for keys in [&[1u64, 1][..], &[2, 1, 3, 1]] {
+        let err = client.export_keys(keys).unwrap_err();
+        assert_eq!(err.fault_kind(), Some(FaultKind::DuplicateKey), "{keys:?}");
+    }
+    assert_eq!(client.key_list().unwrap(), vec![1, 2, 3]);
+    assert_eq!(client.read(&1, Constraint::Absolute(1e9), 0).unwrap(), before);
+    client.shutdown().unwrap();
+    finish(reactor, &runtime, true);
+    runtime.shutdown().unwrap();
+}
+
+#[test]
 fn v2_peers_get_a_stable_fault_for_every_v3_verb() {
     let runtime = fleet([(1u64, 100.0)]);
     let (reactor, mut client_t) = serve_loopback(&runtime);

@@ -184,24 +184,19 @@ impl<K: Hash + Ord + Clone> ShardActor<K> {
 
     /// Detach `keys` with their full protocol state: store entry, TTL
     /// lease (absolute deadline preserved), and subscription watch (dedup
-    /// bits + live sinks). The whole set is checked first so an unknown
-    /// key detaches nothing.
+    /// bits + live sinks). The store's atomic `export_keys` goes first:
+    /// an unknown or repeated key fails it with nothing detached, so
+    /// leases and watches are only taken for keys that really left.
     fn export(&mut self, keys: Vec<K>) -> Result<MigrationBundle<K>, apcache_store::StoreError> {
-        for key in &keys {
-            if !self.store.contains_key(key) {
-                return Err(apcache_store::StoreError::UnknownKey);
-            }
-        }
-        let mut bundle = MigrationBundle::default();
+        let entries = self.store.export_keys(&keys)?;
+        let mut bundle = MigrationBundle { entries, ..MigrationBundle::default() };
         for key in keys {
-            let entry = self.store.export_key(&key)?;
             if let Some((cfg, deadline)) = self.leases.export_lease(&key) {
                 bundle.leases.push((key.clone(), cfg, deadline));
             }
             if let Some((last, subs)) = self.registry.extract_key(&key) {
-                bundle.watches.push((key.clone(), last, subs));
+                bundle.watches.push((key, last, subs));
             }
-            bundle.entries.push(entry);
         }
         Ok(bundle)
     }

@@ -25,7 +25,7 @@
 //!
 //! [`PrecisionStore`]: apcache_store::PrecisionStore
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use apcache_core::TimeMs;
@@ -80,20 +80,26 @@ impl<K: Hash + Ord + Clone + Send + Sync + 'static> RuntimeHandle<K> {
 
     /// Detach `keys` with their complete protocol state — the export half
     /// of cross-backend migration. Fails atomically: a single unknown key
-    /// exports nothing.
+    /// (`UnknownKey`) or a key named twice (`DuplicateKey`) exports
+    /// nothing.
     ///
     /// Leases and watches cannot cross the generic boundary: each
     /// exported key's watches end visibly (their streaming tickets settle
     /// with `SubscriptionEnded`) and its lease is dropped — never a
     /// silently stale binding on a departed key.
     pub fn export_key_states(&self, keys: &[K]) -> Result<Vec<KeyState<K>>, StoreError> {
-        // Whole-set pre-check against the directory so a miss exports
-        // nothing (the atomicity contract).
+        // Whole-set pre-check against the directory so an unknown or
+        // repeated key exports nothing on any shard (the atomicity
+        // contract).
         {
             let dir = self.shared.keys.read().expect("key directory lock poisoned");
+            let mut seen = HashSet::with_capacity(keys.len());
             for key in keys {
                 if !dir.contains(key) {
                     return Err(StoreError::UnknownKey);
+                }
+                if !seen.insert(key) {
+                    return Err(StoreError::DuplicateKey);
                 }
             }
         }
@@ -227,8 +233,9 @@ impl<K: Hash + Ord + Clone + Send + Sync + 'static> ShardBackend<K> for RuntimeH
 #[cfg(test)]
 mod tests {
     use apcache_core::Rng;
+    use apcache_push::{FallbackWidth, LeaseConfig};
     use apcache_shard::{ShardBackend, ShardRouter, ShardedStore, ShardedStoreBuilder};
-    use apcache_store::{InitialWidth, StoreBuilder};
+    use apcache_store::{InitialWidth, StoreBuilder, StoreError};
 
     use crate::{Constraint, PushFilter, Runtime, RuntimeHandle};
 
@@ -256,6 +263,35 @@ mod tests {
         assert!(ShardBackend::insert(&mut backend, 99, 1.0, None, 0).is_err());
         let m = ShardBackend::metrics_snapshot(&mut backend).unwrap();
         assert_eq!(m.totals().writes, 1);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn rejected_export_leaves_directory_store_lease_and_watch_intact() {
+        let runtime = runtime_of(4);
+        let h = runtime.handle();
+        h.subscribe(&1, PushFilter::Always, 0).unwrap();
+        h.lease(&1, LeaseConfig { ttl_ms: 60_000, fallback: FallbackWidth::Fixed(40.0) }, 0)
+            .unwrap();
+        let before = h.read(&1, Constraint::Absolute(1e9), 0).unwrap().answer;
+
+        // A key named twice, alone or among keys of other shards.
+        for keys in [&[1u64, 1][..], &[0, 1, 2, 1]] {
+            let err = h.export_key_states(keys).unwrap_err();
+            assert!(matches!(err, StoreError::DuplicateKey), "{keys:?}: {err}");
+        }
+        assert!(matches!(h.export_key_states(&[1, 99]), Err(StoreError::UnknownKey)));
+
+        // Directory and store still agree: every key listed and readable,
+        // key 1 at the interval it had; lease and subscription still live.
+        assert_eq!(h.sorted_keys(), vec![0, 1, 2, 3]);
+        for k in 0..4u64 {
+            assert!(h.read(&k, Constraint::Absolute(1e9), 0).is_ok(), "key {k}");
+        }
+        assert_eq!(h.read(&1, Constraint::Absolute(1e9), 0).unwrap().answer, before);
+        let push = h.push_stats().unwrap();
+        assert_eq!((push.subscribers, push.watched_keys, push.leases), (1, 1, 1));
+        assert!(h.poll().is_none(), "a rejected export must not end the subscription");
         runtime.shutdown().unwrap();
     }
 

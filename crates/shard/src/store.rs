@@ -273,7 +273,7 @@ pub struct ShardedStore<K, B = PrecisionStore<K>> {
     /// built by [`ShardedStoreBuilder`]; arbitrary after elastic
     /// add/remove, since the ring never recycles ids.
     ids: Vec<u32>,
-    shards: Vec<B>,
+    pub(crate) shards: Vec<B>,
     _key: PhantomData<fn() -> K>,
 }
 
@@ -290,7 +290,7 @@ impl<K: Hash + Ord + Clone, B: ShardBackend<K>> ShardedStore<K, B> {
     }
 
     /// The slot index of the backend owning `key`.
-    fn slot_of(&self, key: &K) -> usize {
+    pub(crate) fn slot_of(&self, key: &K) -> usize {
         self.slot_of_id(self.router.route(key))
     }
 

@@ -8,12 +8,20 @@
 //! seconds.
 //!
 //! The simulator is generic over the *caching system* being evaluated via
-//! the [`system::CacheSystem`] trait. This crate ships the paper's
-//! adaptive-interval system ([`systems::AdaptiveSystem`]); the
-//! `apcache-baselines` crate plugs in WJH97 exact caching and HSW94
-//! divergence caching through the same trait, so every algorithm is
-//! measured by the same driver, the same workloads, and the same cost
-//! accounting.
+//! the [`system::CacheSystem`] trait. This crate ships one implementation,
+//! [`systems::BackendSystem`]: any
+//! [`ShardBackend`](apcache_shard::ShardBackend) under the paper's cost
+//! accounting, with the paper's adaptive-interval system
+//! ([`systems::AdaptiveSystem`]) and its sharded deployment
+//! ([`systems::ShardedAdaptiveSystem`]) as the two in-process
+//! instantiations. The `apcache-baselines` crate plugs in WJH97 exact
+//! caching and HSW94 divergence caching through the same trait, so every
+//! algorithm is measured by the same driver, the same workloads, and the
+//! same cost accounting.
+//!
+//! The crate depends on `apcache-{core, queries, workload, store, shard}`
+//! only: a deployment that needs a runtime, a socket or a reactor is
+//! stood up by the caller and handed in as a backend.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

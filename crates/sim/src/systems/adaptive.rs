@@ -1,24 +1,23 @@
 //! The paper's adaptive-interval caching system, wired for the simulator.
 //!
-//! Since the `apcache-store` façade landed, this system owns **no protocol
-//! state of its own**: it drives a [`PrecisionStore`] keyed by the
-//! simulator's [`Key`] and forwards the store's refresh outcomes into the
-//! simulator's cost accounting. The refresh protocol — escape detection,
-//! width adaptation, eviction, refresh-set selection — lives in one place
-//! (the store) for every consumer.
+//! This system owns **no protocol state of its own**: it is
+//! [`BackendSystem`] over a [`PrecisionStore`] keyed by the simulator's
+//! [`Key`]. The refresh protocol — escape detection, width adaptation,
+//! eviction, refresh-set selection — lives in one place (the store) for
+//! every consumer, and the cost accounting in one place (`BackendSystem`)
+//! for every deployment shape.
 
 use apcache_core::cost::CostModel;
-use apcache_core::{Interval, Key, Rng, TimeMs};
-use apcache_store::{Constraint, PolicySpec, PrecisionStore, StoreBuilder};
-use apcache_workload::query::{GeneratedQuery, QueryConfig};
+use apcache_core::{Key, Rng};
+use apcache_store::{PolicySpec, PrecisionStore, StoreBuilder};
+use apcache_workload::query::QueryConfig;
 use apcache_workload::trace::TraceSet;
 use apcache_workload::walk::{RandomWalk, ValueProcess, WalkConfig};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::simulation::Simulation;
-use crate::stats::Stats;
-use crate::system::{CacheSystem, QuerySummary};
+use crate::systems::backend::{build_simulation, BackendSystem};
 
 pub use apcache_store::InitialWidth;
 
@@ -89,98 +88,34 @@ impl AdaptiveSystemConfig {
     }
 }
 
-/// The paper's system: the [`PrecisionStore`] façade under the simulator's
-/// cost accounting.
-#[derive(Debug)]
-pub struct AdaptiveSystem {
-    store: PrecisionStore<Key>,
-}
+/// The paper's system: one [`PrecisionStore`] under the simulator's cost
+/// accounting.
+pub type AdaptiveSystem = BackendSystem<PrecisionStore<Key>>;
 
-impl AdaptiveSystem {
-    /// Assemble the system for sources with the given initial values.
+impl BackendSystem<PrecisionStore<Key>> {
+    /// Assemble the system for sources with the given initial values
+    /// (the store draws from a fork of `rng`).
     pub fn new(
         cfg: &AdaptiveSystemConfig,
         initial_values: &[f64],
         mut rng: Rng,
     ) -> Result<Self, SimError> {
-        Ok(AdaptiveSystem { store: cfg.build_store(initial_values, rng.fork())? })
-    }
-
-    /// The façade under test, for direct inspection.
-    pub fn store(&self) -> &PrecisionStore<Key> {
-        &self.store
+        Ok(BackendSystem {
+            backend: cfg.build_store(initial_values, rng.fork())?,
+            cost: cfg.cost,
+            peek: PrecisionStore::cached_interval,
+        })
     }
 
     /// The source policy's internal width for `key` (e.g. the converged
     /// width after a Figure 3 run).
     pub fn internal_width_of(&self, key: Key) -> Option<f64> {
-        self.store.internal_width(&key)
-    }
-
-    /// The current exact value at the source for `key`.
-    pub fn source_value(&self, key: Key) -> Option<f64> {
-        self.store.value(&key)
+        self.backend.internal_width(&key)
     }
 
     /// Number of entries currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.store.cached_len()
-    }
-
-    /// Whether `key` is currently cached.
-    pub fn is_cached(&self, key: Key) -> bool {
-        self.store.is_cached(&key)
-    }
-}
-
-impl CacheSystem for AdaptiveSystem {
-    fn on_update(
-        &mut self,
-        key: Key,
-        value: f64,
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<(), SimError> {
-        let outcome = self.store.write(&key, value, now)?;
-        for _ in 0..outcome.refreshes {
-            stats.record_vr(self.store.cost_model().c_vr());
-        }
-        Ok(())
-    }
-
-    fn on_update_batch(
-        &mut self,
-        updates: &[(Key, f64)],
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<(), SimError> {
-        let outcome = self.store.write_batch(updates, now)?;
-        for _ in 0..outcome.refreshes {
-            stats.record_vr(self.store.cost_model().c_vr());
-        }
-        Ok(())
-    }
-
-    fn on_query(
-        &mut self,
-        query: &GeneratedQuery,
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<QuerySummary, SimError> {
-        let outcome = self.store.aggregate(
-            query.kind,
-            &query.keys,
-            Constraint::Absolute(query.delta),
-            now,
-        )?;
-        for _ in &outcome.refreshed {
-            stats.record_qr(self.store.cost_model().c_qr());
-        }
-        Ok(QuerySummary { answer: Some(outcome.answer), refreshes: outcome.refreshed.len() })
-    }
-
-    fn interval_of(&self, key: Key, now: TimeMs) -> Option<Interval> {
-        self.store.cached_interval(&key, now)
+        self.backend.cached_len()
     }
 }
 
@@ -239,26 +174,22 @@ impl WorkloadSpec {
 }
 
 /// Assemble a full simulation of the paper's system: workload → store
-/// façade → query load. RNG streams are forked from the master seed in a
-/// fixed order so runs are bit-reproducible.
+/// façade → query load, under [`build_simulation`]'s seed contract.
 pub fn build_adaptive_simulation(
     sim_cfg: &SimConfig,
     sys_cfg: &AdaptiveSystemConfig,
     workload: WorkloadSpec,
     queries: QueryConfig,
 ) -> Result<Simulation<AdaptiveSystem>, SimError> {
-    let mut master = Rng::seed_from_u64(sim_cfg.seed());
-    let processes = workload.build_processes(&mut master)?;
-    let initial_values: Vec<f64> = processes.iter().map(|p| p.value()).collect();
-    let system = AdaptiveSystem::new(sys_cfg, &initial_values, master.fork())?;
-    let query_gen =
-        apcache_workload::query::QueryGenerator::new(queries, initial_values.len(), master.fork())?;
-    Simulation::new(*sim_cfg, system, processes, query_gen)
+    build_simulation(sim_cfg, workload, queries, |initial, rng| {
+        AdaptiveSystem::new(sys_cfg, initial, rng)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::CacheSystem;
     use apcache_core::policy::GrowthLaw;
     use apcache_core::policy::Weighting;
     use apcache_workload::query::KindMix;
@@ -312,7 +243,7 @@ mod tests {
         .unwrap()
         .run()
         .unwrap();
-        let metrics = report.system.store().metrics();
+        let metrics = report.system.backend().metrics();
         assert!(metrics.vr_count() >= report.stats.vr_count());
         assert!(metrics.qr_count() >= report.stats.qr_count());
         assert!(metrics.total_cost() >= report.stats.total_cost());

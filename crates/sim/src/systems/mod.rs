@@ -1,29 +1,25 @@
 //! Concrete caching systems.
 //!
-//! [`AdaptiveSystem`] is the paper's contribution assembled from
-//! `apcache-core` parts: sources running a precision policy per cached
-//! value, a widest-first-eviction cache, and the OW00 bounded-aggregate
-//! engine answering queries. The baselines crate provides additional
-//! implementations of [`crate::system::CacheSystem`].
+//! There is one: [`BackendSystem`], any
+//! [`ShardBackend`](apcache_shard::ShardBackend) under the paper's
+//! Section 4.1 cost accounting, assembled into a run by
+//! [`build_simulation`]. [`AdaptiveSystem`] (one `PrecisionStore`) and
+//! [`ShardedAdaptiveSystem`] (a `ShardedStore` fleet) are the two
+//! in-process instantiations every figure harness runs on; a runtime
+//! handle or a remote client goes through
+//! [`BackendSystem::over`] the same way, with the serving stack stood up
+//! by the caller (see `tests/backend_simulation.rs`). The baselines crate
+//! provides additional implementations of [`crate::system::CacheSystem`].
 
 mod adaptive;
-mod concurrent;
-mod pipelined;
-mod push;
-mod remote;
+mod backend;
 mod sharded;
 
 pub use adaptive::{
     build_adaptive_simulation, AdaptiveSystem, AdaptiveSystemConfig, InitialWidth, PolicyKind,
     WorkloadSpec,
 };
-pub use concurrent::{
-    build_concurrent_simulation, drive_concurrent_clients, ConcurrentAdaptiveSystem,
-    ConcurrentLoad, ConcurrentRunTotals, ConcurrentSystemConfig,
-};
-pub use pipelined::{build_pipelined_simulation, PipelinedRemoteSystem, PipelinedSystemConfig};
-pub use push::{build_push_simulation, PushMirrorSystem};
-pub use remote::{build_remote_simulation, RemoteAdaptiveSystem};
+pub use backend::{build_simulation, BackendSystem};
 pub use sharded::{build_sharded_simulation, ShardedAdaptiveSystem, ShardedSystemConfig};
 
 /// Query workload specification (re-export of the workload crate's config:

@@ -2,21 +2,20 @@
 //!
 //! Same protocol, different topology: instead of one `PrecisionStore`, an
 //! [`apcache_shard::ShardedStore`] partitions the key space across `N`
-//! stores behind a consistent-hash ring. The simulator drives it through
-//! the same [`CacheSystem`] trait as the single-store
-//! [`AdaptiveSystem`](super::AdaptiveSystem), so every experiment can
-//! sweep shard counts with no other change.
+//! stores behind a consistent-hash ring. It is the same
+//! [`BackendSystem`] as the single-store
+//! [`AdaptiveSystem`](super::AdaptiveSystem) over a different backend, so
+//! every experiment can sweep shard counts with no other change.
 
-use apcache_core::{Interval, Key, Rng, TimeMs};
-use apcache_shard::{Constraint, ShardedStore, ShardedStoreBuilder};
-use apcache_workload::query::GeneratedQuery;
+use apcache_core::{Key, Rng};
+use apcache_shard::{ShardedStore, ShardedStoreBuilder};
+use apcache_workload::query::QueryConfig;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::simulation::Simulation;
-use crate::stats::Stats;
-use crate::system::{CacheSystem, QuerySummary};
 use crate::systems::adaptive::{AdaptiveSystemConfig, WorkloadSpec};
+use crate::systems::backend::{build_simulation, BackendSystem};
 
 /// Configuration of a sharded adaptive deployment: the single-store
 /// protocol knobs plus the fleet shape.
@@ -81,123 +80,50 @@ impl ShardedSystemConfig {
 
 /// The paper's system scaled out: a [`ShardedStore`] fleet under the
 /// simulator's cost accounting.
-#[derive(Debug)]
-pub struct ShardedAdaptiveSystem {
-    store: ShardedStore<Key>,
-}
+pub type ShardedAdaptiveSystem = BackendSystem<ShardedStore<Key>>;
 
-impl ShardedAdaptiveSystem {
-    /// Assemble the system for sources with the given initial values.
+impl BackendSystem<ShardedStore<Key>> {
+    /// Assemble the system for sources with the given initial values
+    /// (the fleet draws from a fork of `rng`).
     pub fn new(
         cfg: &ShardedSystemConfig,
         initial_values: &[f64],
         mut rng: Rng,
     ) -> Result<Self, SimError> {
-        Ok(ShardedAdaptiveSystem { store: cfg.build_store(initial_values, rng.fork())? })
-    }
-
-    /// The sharded façade under test, for direct inspection.
-    pub fn store(&self) -> &ShardedStore<Key> {
-        &self.store
-    }
-
-    /// Number of shards in the fleet.
-    pub fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-
-    /// Total entries cached across the fleet.
-    pub fn cached_entries(&self) -> usize {
-        self.store.cached_len()
+        Ok(BackendSystem {
+            backend: cfg.build_store(initial_values, rng.fork())?,
+            cost: cfg.base.cost,
+            peek: ShardedStore::cached_interval,
+        })
     }
 
     /// The source policy's internal width for `key`.
     pub fn internal_width_of(&self, key: Key) -> Option<f64> {
-        self.store.internal_width(&key)
-    }
-
-    /// The current exact value at the source for `key`.
-    pub fn source_value(&self, key: Key) -> Option<f64> {
-        self.store.value(&key)
-    }
-}
-
-impl CacheSystem for ShardedAdaptiveSystem {
-    fn on_update(
-        &mut self,
-        key: Key,
-        value: f64,
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<(), SimError> {
-        let outcome = self.store.write(&key, value, now)?;
-        for _ in 0..outcome.refreshes {
-            stats.record_vr(self.store.cost_model().c_vr());
-        }
-        Ok(())
-    }
-
-    fn on_update_batch(
-        &mut self,
-        updates: &[(Key, f64)],
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<(), SimError> {
-        let outcome = self.store.write_batch(updates, now)?;
-        for _ in 0..outcome.refreshes {
-            stats.record_vr(self.store.cost_model().c_vr());
-        }
-        Ok(())
-    }
-
-    fn on_query(
-        &mut self,
-        query: &GeneratedQuery,
-        now: TimeMs,
-        stats: &mut Stats,
-    ) -> Result<QuerySummary, SimError> {
-        let outcome = self.store.aggregate(
-            query.kind,
-            &query.keys,
-            Constraint::Absolute(query.delta),
-            now,
-        )?;
-        for _ in &outcome.refreshed {
-            stats.record_qr(self.store.cost_model().c_qr());
-        }
-        Ok(QuerySummary { answer: Some(outcome.answer), refreshes: outcome.refreshed.len() })
-    }
-
-    fn interval_of(&self, key: Key, now: TimeMs) -> Option<Interval> {
-        self.store.cached_interval(&key, now)
+        self.backend.internal_width(&key)
     }
 }
 
 /// Assemble a full simulation of a sharded deployment: workload → ring →
-/// shard fleet → query load. RNG streams are forked from the master seed
-/// in the same order as [`build_adaptive_simulation`], so a 1-shard run
-/// sees the same workload as the unsharded system with the same seed.
+/// shard fleet → query load. Same [`build_simulation`] seed contract as
+/// [`build_adaptive_simulation`], so a 1-shard run sees the same workload
+/// as the unsharded system with the same seed.
 ///
 /// [`build_adaptive_simulation`]: super::build_adaptive_simulation
 pub fn build_sharded_simulation(
     sim_cfg: &SimConfig,
     sys_cfg: &ShardedSystemConfig,
     workload: WorkloadSpec,
-    queries: apcache_workload::query::QueryConfig,
+    queries: QueryConfig,
 ) -> Result<Simulation<ShardedAdaptiveSystem>, SimError> {
-    let mut master = Rng::seed_from_u64(sim_cfg.seed());
-    let processes = workload.build_processes(&mut master)?;
-    let initial_values: Vec<f64> = processes.iter().map(|p| p.value()).collect();
-    let system = ShardedAdaptiveSystem::new(sys_cfg, &initial_values, master.fork())?;
-    let query_gen =
-        apcache_workload::query::QueryGenerator::new(queries, initial_values.len(), master.fork())?;
-    Simulation::new(*sim_cfg, system, processes, query_gen)
+    build_simulation(sim_cfg, workload, queries, |initial, rng| {
+        ShardedAdaptiveSystem::new(sys_cfg, initial, rng)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apcache_workload::query::{KindMix, QueryConfig};
+    use apcache_workload::query::KindMix;
     use apcache_workload::walk::WalkConfig;
 
     fn quick_sim_cfg(seed: u64) -> SimConfig {
@@ -232,7 +158,7 @@ mod tests {
             let report = run_sharded(shards, 11);
             assert!(report.stats.vr_count() > 0, "shards={shards}: no VRs");
             assert!(report.stats.qr_count() > 0, "shards={shards}: no QRs");
-            assert_eq!(report.system.shard_count(), shards);
+            assert_eq!(report.system.backend().shard_count(), shards);
         }
     }
 
@@ -302,7 +228,7 @@ mod tests {
         .run()
         .unwrap();
         // ceil(6/3) = 2 per shard; the fleet may cache up to 6 total.
-        assert!(report.system.cached_entries() <= 6);
+        assert!(report.system.backend().cached_len() <= 6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `PrecisionStore` façade and its builder.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use apcache_core::cache::Cache;
@@ -675,6 +675,25 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
         Ok(KeyState { key, value, spec, policy_state, source_spec, cached, metrics })
     }
 
+    /// Detach a whole set of keys, atomically and in request order: an
+    /// unknown key ([`StoreError::UnknownKey`]) or a key named twice
+    /// ([`StoreError::DuplicateKey`]) rejects the call before anything is
+    /// detached. The list can come from a wire peer, so repetition is
+    /// checked, not assumed away: detaching `k` a second time would fail
+    /// midway and drop the first, already detached, copy of its state.
+    pub fn export_keys(&mut self, keys: &[K]) -> Result<Vec<KeyState<K>>, StoreError> {
+        let mut seen = HashSet::with_capacity(keys.len());
+        for key in keys {
+            if !self.index.contains_key(key) {
+                return Err(StoreError::UnknownKey);
+            }
+            if !seen.insert(key) {
+                return Err(StoreError::DuplicateKey);
+            }
+        }
+        keys.iter().map(|key| self.export_key(key)).collect()
+    }
+
     /// Attach a key previously detached with [`export_key`] (possibly from
     /// another store with the same cost/α/γ configuration), restoring its
     /// policy state, registered approximation, cache residency, and
@@ -1244,6 +1263,23 @@ mod tests {
         assert!(matches!(dst.import_key(dup), Err(StoreError::DuplicateKey)));
         // Exporting an unknown key errors.
         assert!(matches!(src.export_key(&"zzz"), Err(StoreError::UnknownKey)));
+    }
+
+    #[test]
+    fn export_keys_rejects_unknown_and_repeated_keys_before_detaching() {
+        let mut s = store();
+        s.write(&"a", 110.0, 1_000).unwrap(); // escape → VR, width 20
+        let before = (s.internal_width(&"a"), s.metrics().for_key(&"a").cloned());
+        assert!(matches!(s.export_keys(&["a", "a"]), Err(StoreError::DuplicateKey)));
+        assert!(matches!(s.export_keys(&["b", "a", "b"]), Err(StoreError::DuplicateKey)));
+        assert!(matches!(s.export_keys(&["a", "zzz"]), Err(StoreError::UnknownKey)));
+        // Every rejected call left both keys registered with their state.
+        assert_eq!((s.len(), s.value(&"a"), s.value(&"b")), (2, Some(110.0), Some(200.0)));
+        assert_eq!((s.internal_width(&"a"), s.metrics().for_key(&"a").cloned()), before);
+        // A well-formed set detaches in request order.
+        let states = s.export_keys(&["b", "a"]).unwrap();
+        assert_eq!(states.iter().map(|st| st.key).collect::<Vec<_>>(), ["b", "a"]);
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //!   request with the v2 header's request id and returns a
 //!   [`Ticket`]; up to a window of requests ride the
 //!   connection at once and are harvested out of order with `wait_*`
-//!   (the blocking verbs are submit + wait). [`StoreServer`] fronts a
-//!   [`PrecisionStore`](apcache_store::PrecisionStore) or a
-//!   [`ShardedStore`](apcache_shard::ShardedStore) behind the
-//!   [`StoreService`] trait: a no-runtime, in-order, call-reply loop —
-//!   the *reference* the conformance suites diff the pipelined stack
-//!   against. A live runtime is served by the `apcache-reactor` crate
+//!   (the blocking verbs are submit + wait). [`StoreServer`] fronts any
+//!   [`ShardBackend`](apcache_shard::ShardBackend) — a
+//!   [`PrecisionStore`](apcache_store::PrecisionStore), a
+//!   [`ShardedStore`](apcache_shard::ShardedStore) fleet — with a
+//!   no-runtime, in-order, call-reply loop: the *reference* the
+//!   conformance suites diff the pipelined stack against. A live runtime is served by the `apcache-reactor` crate
 //!   (`serve_reactor` over TCP, `Reactor::add_connection` in process),
 //!   the one pipelined door: it fronts the runtime's ticketed surface,
 //!   replies **out of order** as the shard actors finish, and, since
@@ -109,7 +109,7 @@ pub use message::{
     WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION, VERSION_V1, VERSION_V2,
 };
 pub use pool::{ClientPool, PooledClient};
-pub use server::{requires_v3, v3_fault, ServerExit, StoreServer, StoreService};
+pub use server::{requires_v3, v3_fault, ServerExit, StoreServer};
 pub use transport::{
     frame_bytes, loopback, loopback_streams, split_frame, LoopbackStream, LoopbackTransport,
     SplitStream, StreamTransport, TcpTransport, Transport, MAX_FRAME_LEN,

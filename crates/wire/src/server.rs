@@ -1,93 +1,16 @@
-//! The serving side of the wire: a [`StoreService`] abstraction over the
-//! workspace's store façades and a [`StoreServer`] loop that decodes
-//! requests off a [`Transport`], dispatches them, and ships outcomes back.
+//! The serving side of the wire: a [`StoreServer`] loop that decodes
+//! requests off a [`Transport`], dispatches them to any [`ShardBackend`]
+//! — a [`PrecisionStore`](apcache_store::PrecisionStore), a
+//! [`ShardedStore`](apcache_shard::ShardedStore) fleet, anything else
+//! that spells the verbs — and ships outcomes back.
 
-use std::hash::Hash;
-
-use apcache_core::{Interval, TimeMs};
-use apcache_queries::AggregateKind;
-use apcache_shard::ShardedStore;
-use apcache_store::{Constraint, KeyState, PrecisionStore, ReadResult, StoreMetrics, WriteOutcome};
+use apcache_shard::ShardBackend;
+use apcache_telemetry::Exposition;
 
 use crate::codec::WireKey;
 use crate::error::{WireError, WireFault};
 use crate::message::{decode_frame, versioned_to_vec, WireMessage, WireRequest, WireResponse};
 use crate::transport::Transport;
-
-/// The four serving verbs plus metrics, as a trait so one server loop can
-/// front either of the workspace's runtime-less store layers: a single
-/// [`PrecisionStore`] or a [`ShardedStore`] fleet. (A live runtime is
-/// served by `apcache-reactor`, through its ticketed surface.)
-///
-/// Errors are returned pre-projected as [`WireFault`]s — the server ships
-/// them to the client verbatim.
-pub trait StoreService<K> {
-    /// Point read to the given precision.
-    fn read(
-        &mut self,
-        key: &K,
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<ReadResult, WireFault>;
-
-    /// Apply one write.
-    fn write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<WriteOutcome, WireFault>;
-
-    /// Apply a batch of writes in slice order.
-    fn write_batch(&mut self, items: &[(K, f64)], now: TimeMs) -> Result<WriteOutcome, WireFault>;
-
-    /// Bounded aggregate; returns the answer interval and the keys fetched
-    /// exactly, in fetch order.
-    fn aggregate(
-        &mut self,
-        kind: AggregateKind,
-        keys: &[K],
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<(Interval, Vec<K>), WireFault>;
-
-    /// Snapshot the serving metrics (a deployment-wide rollup for
-    /// multi-shard services).
-    fn metrics(&mut self) -> Result<StoreMetrics<K>, WireFault>;
-
-    /// Render the service's [`StoreMetrics`] rollup as a
-    /// Prometheus-style text exposition.
-    fn exposition(&mut self) -> Result<String, WireFault>;
-
-    // -----------------------------------------------------------------
-    // v3 migration vocabulary, defaulted: a service without that
-    // surface (the sharded fleet — its ring migrates keys itself)
-    // answers with a stable Unsupported fault instead of failing to
-    // compile. The plain store overrides all three.
-    // -----------------------------------------------------------------
-
-    /// Every key this service serves, in a deterministic order.
-    fn key_list(&mut self) -> Result<Vec<K>, WireFault> {
-        Err(unsupported("key enumeration"))
-    }
-
-    /// Detach `keys` with full protocol state (atomic: a miss exports
-    /// nothing) — the export half of cross-node migration.
-    fn export_keys(&mut self, keys: &[K]) -> Result<Vec<KeyState<K>>, WireFault> {
-        let _ = keys;
-        Err(unsupported("key migration"))
-    }
-
-    /// Attach keys previously detached elsewhere — the import half of
-    /// cross-node migration.
-    fn import_keys(&mut self, states: Vec<KeyState<K>>) -> Result<(), WireFault> {
-        let _ = states;
-        Err(unsupported("key migration"))
-    }
-}
-
-/// The stable fault for a verb this service does not implement.
-fn unsupported(what: &str) -> WireFault {
-    WireFault::new(
-        crate::error::FaultKind::Unsupported,
-        format!("this endpoint does not serve {what}"),
-    )
-}
 
 /// Whether a request verb entered the vocabulary at protocol v3 — the
 /// lease and migration surface. The codec is version-agnostic on frame
@@ -119,113 +42,6 @@ pub fn v3_fault() -> WireFault {
     )
 }
 
-impl<K: Hash + Ord + Clone> StoreService<K> for PrecisionStore<K> {
-    fn read(
-        &mut self,
-        key: &K,
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<ReadResult, WireFault> {
-        PrecisionStore::read(self, key, constraint, now).map_err(Into::into)
-    }
-
-    fn write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        PrecisionStore::write(self, key, value, now).map_err(Into::into)
-    }
-
-    fn write_batch(&mut self, items: &[(K, f64)], now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        PrecisionStore::write_batch(self, items, now).map_err(Into::into)
-    }
-
-    fn aggregate(
-        &mut self,
-        kind: AggregateKind,
-        keys: &[K],
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<(Interval, Vec<K>), WireFault> {
-        PrecisionStore::aggregate(self, kind, keys, constraint, now)
-            .map(|out| (out.answer, out.refreshed))
-            .map_err(Into::into)
-    }
-
-    fn metrics(&mut self) -> Result<StoreMetrics<K>, WireFault> {
-        Ok(PrecisionStore::metrics(self).clone())
-    }
-
-    fn key_list(&mut self) -> Result<Vec<K>, WireFault> {
-        Ok(PrecisionStore::keys(self).cloned().collect())
-    }
-
-    fn export_keys(&mut self, keys: &[K]) -> Result<Vec<KeyState<K>>, WireFault> {
-        // Whole-set pre-check so a miss exports nothing (the atomicity
-        // contract the migration protocol leans on).
-        for key in keys {
-            if !PrecisionStore::contains_key(self, key) {
-                return Err(apcache_store::StoreError::UnknownKey.into());
-            }
-        }
-        keys.iter()
-            .map(|key| self.export_key(key))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(Into::into)
-    }
-
-    fn import_keys(&mut self, states: Vec<KeyState<K>>) -> Result<(), WireFault> {
-        for state in states {
-            self.import_key(state)?;
-        }
-        Ok(())
-    }
-
-    fn exposition(&mut self) -> Result<String, WireFault> {
-        let mut out = apcache_telemetry::Exposition::new();
-        PrecisionStore::metrics(self).render_into(&mut out);
-        Ok(out.finish())
-    }
-}
-
-impl<K: Hash + Ord + Clone> StoreService<K> for ShardedStore<K> {
-    fn read(
-        &mut self,
-        key: &K,
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<ReadResult, WireFault> {
-        ShardedStore::read(self, key, constraint, now).map_err(Into::into)
-    }
-
-    fn write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        ShardedStore::write(self, key, value, now).map_err(Into::into)
-    }
-
-    fn write_batch(&mut self, items: &[(K, f64)], now: TimeMs) -> Result<WriteOutcome, WireFault> {
-        ShardedStore::write_batch(self, items, now).map_err(Into::into)
-    }
-
-    fn aggregate(
-        &mut self,
-        kind: AggregateKind,
-        keys: &[K],
-        constraint: Constraint,
-        now: TimeMs,
-    ) -> Result<(Interval, Vec<K>), WireFault> {
-        ShardedStore::aggregate(self, kind, keys, constraint, now)
-            .map(|out| (out.answer, out.refreshed))
-            .map_err(Into::into)
-    }
-
-    fn metrics(&mut self) -> Result<StoreMetrics<K>, WireFault> {
-        Ok(ShardedStore::metrics(self).merged().clone())
-    }
-
-    fn exposition(&mut self) -> Result<String, WireFault> {
-        let mut out = apcache_telemetry::Exposition::new();
-        ShardedStore::metrics(self).merged().render_into(&mut out);
-        Ok(out.finish())
-    }
-}
-
 /// Why a serving loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerExit {
@@ -235,8 +51,10 @@ pub enum ServerExit {
     Disconnected,
 }
 
-/// Serves one [`StoreService`] over [`Transport`]s: decode a request
-/// frame, dispatch it, encode the outcome, repeat.
+/// Serves one [`ShardBackend`] over [`Transport`]s: decode a request
+/// frame, dispatch it, encode the outcome, repeat. Store errors cross
+/// the wire as [`WireFault`]s (the one `From<StoreError>` projection the
+/// reactor uses too).
 ///
 /// One server can serve several connections *sequentially* (call
 /// [`serve`](StoreServer::serve) again with the next transport);
@@ -282,7 +100,7 @@ impl<S> StoreServer<S> {
     pub fn serve<K, T>(&mut self, transport: &mut T) -> Result<ServerExit, WireError>
     where
         K: WireKey + Ord + Clone,
-        S: StoreService<K>,
+        S: ShardBackend<K>,
         T: Transport,
     {
         loop {
@@ -326,69 +144,55 @@ impl<S> StoreServer<S> {
                 ))?;
                 continue;
             }
-            let response = match request {
+            // Verbs the backend serves come back as `Result<_, StoreError>`;
+            // the faults this loop raises itself are already responses.
+            let outcome = match request {
                 WireRequest::Read { key, constraint, now } => {
-                    match self.service.read(&key, constraint, now) {
-                        Ok(result) => WireResponse::Read(result),
-                        Err(fault) => WireResponse::Error(fault),
-                    }
+                    self.service.read(&key, constraint, now).map(WireResponse::Read)
                 }
                 WireRequest::Write { key, value, now } => {
-                    match self.service.write(&key, value, now) {
-                        Ok(outcome) => WireResponse::Write(outcome),
-                        Err(fault) => WireResponse::Error(fault),
-                    }
+                    self.service.write(&key, value, now).map(WireResponse::Write)
                 }
                 WireRequest::WriteBatch { items, now } => {
-                    match self.service.write_batch(&items, now) {
-                        Ok(outcome) => WireResponse::Write(outcome),
-                        Err(fault) => WireResponse::Error(fault),
-                    }
+                    self.service.write_batch(&items, now).map(WireResponse::Write)
                 }
                 WireRequest::Aggregate { kind, keys, constraint, now } => {
-                    match self.service.aggregate(kind, &keys, constraint, now) {
-                        Ok((answer, refreshed)) => WireResponse::Aggregate { answer, refreshed },
-                        Err(fault) => WireResponse::Error(fault),
-                    }
+                    self.service.aggregate(kind, &keys, constraint, now).map(|out| {
+                        WireResponse::Aggregate { answer: out.answer, refreshed: out.refreshed }
+                    })
                 }
-                WireRequest::Metrics => match self.service.metrics() {
-                    Ok(metrics) => WireResponse::Metrics(metrics),
-                    Err(fault) => WireResponse::Error(fault),
-                },
+                WireRequest::Metrics => self.service.metrics_snapshot().map(WireResponse::Metrics),
                 // The sequential call-reply loop cannot interleave
                 // server-initiated frames with replies, so it cannot
                 // host subscriptions — refuse them with the same stable
                 // fault a v2 peer would get from the pipelined server.
                 WireRequest::Subscribe { .. } | WireRequest::Unsubscribe { .. } => {
-                    WireResponse::Error(WireFault::new(
+                    Ok(WireResponse::Error(WireFault::new(
                         crate::error::FaultKind::Unsupported,
                         "push subscriptions need a pipelined (v3) connection",
-                    ))
+                    )))
                 }
                 // Lease tables and the push-side clock live in the actor
                 // runtime; a store served without one has neither.
                 WireRequest::Lease { .. }
                 | WireRequest::ReleaseLease { .. }
                 | WireRequest::AdvanceTime { .. }
-                | WireRequest::PushStats => {
-                    WireResponse::Error(unsupported("TTL leases or push-side time"))
+                | WireRequest::PushStats => Ok(WireResponse::Error(WireFault::new(
+                    crate::error::FaultKind::Unsupported,
+                    "this endpoint does not serve TTL leases or push-side time",
+                ))),
+                WireRequest::KeyList => self.service.key_list().map(WireResponse::Keys),
+                WireRequest::ExportKeys { keys } => {
+                    self.service.export_keys(&keys).map(WireResponse::Exported)
                 }
-                WireRequest::KeyList => match self.service.key_list() {
-                    Ok(keys) => WireResponse::Keys(keys),
-                    Err(fault) => WireResponse::Error(fault),
-                },
-                WireRequest::ExportKeys { keys } => match self.service.export_keys(&keys) {
-                    Ok(states) => WireResponse::Exported(states),
-                    Err(fault) => WireResponse::Error(fault),
-                },
-                WireRequest::ImportKeys { states } => match self.service.import_keys(states) {
-                    Ok(()) => WireResponse::Imported,
-                    Err(fault) => WireResponse::Error(fault),
-                },
-                WireRequest::Exposition => match self.service.exposition() {
-                    Ok(text) => WireResponse::Exposition(text),
-                    Err(fault) => WireResponse::Error(fault),
-                },
+                WireRequest::ImportKeys { states } => {
+                    self.service.import_keys(states).map(|()| WireResponse::Imported)
+                }
+                WireRequest::Exposition => self.service.metrics_snapshot().map(|metrics| {
+                    let mut out = Exposition::new();
+                    metrics.render_into(&mut out);
+                    WireResponse::Exposition(out.finish())
+                }),
                 WireRequest::Shutdown => {
                     transport.send(&versioned_to_vec::<K>(
                         version,
@@ -398,6 +202,7 @@ impl<S> StoreServer<S> {
                     return Ok(ServerExit::Shutdown);
                 }
             };
+            let response = outcome.unwrap_or_else(|e| WireResponse::Error(e.into()));
             transport.send(&versioned_to_vec(version, id, &WireMessage::Response(response)))?;
         }
     }
@@ -410,7 +215,7 @@ mod tests {
     use crate::error::FaultKind;
     use crate::message::{decode_message, encode_to_vec};
     use crate::transport::loopback;
-    use apcache_store::StoreBuilder;
+    use apcache_store::{Constraint, PrecisionStore, StoreBuilder};
     use std::thread;
 
     fn small_store() -> PrecisionStore<String> {

@@ -1,40 +1,68 @@
-//! The call-reply `StoreServer` and the v3 vocabulary: a plain store
-//! serves the migration trio and refuses leases with a stable fault.
-//! (Leases, the pre-v3 gate, mixed local/remote rings and pool drains
-//! over a pipelined connection are covered in `apcache-reactor`.)
+//! The call-reply `StoreServer` and the v3 vocabulary: any
+//! `ShardBackend` behind it — a plain store, a sharded fleet — serves the
+//! migration trio and refuses leases with a stable fault. (Leases, the
+//! pre-v3 gate, mixed local/remote rings and pool drains over a
+//! pipelined connection are covered in `apcache-reactor`.)
 
 use std::thread;
 
 use apcache_push::{FallbackWidth, LeaseConfig};
+use apcache_shard::{ShardBackend, ShardedStoreBuilder};
 use apcache_store::{Constraint, InitialWidth, StoreBuilder};
 use apcache_wire::{loopback, FaultKind, RemoteStoreClient, ServerExit, StoreServer};
 
 #[test]
 fn sequential_server_serves_migration_verbs_and_defaults_leases_to_unsupported() {
+    let store = StoreBuilder::new()
+        .initial_width(InitialWidth::Fixed(10.0))
+        .source("a".to_string(), 100.0)
+        .source("b".to_string(), 200.0)
+        .build()
+        .unwrap();
+    migration_verbs_over_loopback(store);
+}
+
+#[test]
+fn a_fleet_behind_the_sequential_server_serves_them_too() {
+    let fleet = ShardedStoreBuilder::new()
+        .shards(4)
+        .initial_width(InitialWidth::Fixed(10.0))
+        .source("a".to_string(), 100.0)
+        .source("b".to_string(), 200.0)
+        .build()
+        .unwrap();
+    migration_verbs_over_loopback(fleet);
+}
+
+/// `service` holds "a" = 100 and "b" = 200 at width 10.
+fn migration_verbs_over_loopback<S>(service: S)
+where
+    S: ShardBackend<String> + Send + 'static,
+{
     let (mut server_t, client_t) = loopback();
     let server = thread::spawn(move || {
-        let store = StoreBuilder::new()
-            .initial_width(InitialWidth::Fixed(10.0))
-            .source("a".to_string(), 100.0)
-            .source("b".to_string(), 200.0)
-            .build()
-            .unwrap();
-        let mut server = StoreServer::new(store);
+        let mut server = StoreServer::new(service);
         let exit = server.serve::<String, _>(&mut server_t).unwrap();
         (exit, server.into_service())
     });
     let mut client: RemoteStoreClient<String, _> = RemoteStoreClient::new(client_t);
 
-    // A plain store has no lease table: stable Unsupported, not a hang.
+    // The call-reply loop has no lease table whatever it fronts: stable
+    // Unsupported, not a hang.
     let cfg = LeaseConfig { ttl_ms: 1_000, fallback: FallbackWidth::Unbounded };
     let err = client.lease(&"a".to_string(), cfg, 0).unwrap_err();
     assert_eq!(err.fault_kind(), Some(FaultKind::Unsupported));
 
-    // The migration trio works in registration order, atomically.
-    assert_eq!(client.key_list().unwrap(), vec!["a".to_string(), "b".to_string()]);
+    // The migration trio works, atomically (a fleet lists slot by slot,
+    // so the order is the backend's own).
+    let mut listed = client.key_list().unwrap();
+    listed.sort();
+    assert_eq!(listed, vec!["a".to_string(), "b".to_string()]);
     let err = client.export_keys(&["a".to_string(), "zzz".to_string()]).unwrap_err();
     assert_eq!(err.fault_kind(), Some(FaultKind::UnknownKey));
-    // The failed export detached nothing: "a" still answers.
+    let err = client.export_keys(&["a".to_string(), "a".to_string()]).unwrap_err();
+    assert_eq!(err.fault_kind(), Some(FaultKind::DuplicateKey));
+    // The failed exports detached nothing: "a" still answers.
     assert!(client.read(&"a".to_string(), Constraint::Exact, 0).is_ok());
     let before = client.read(&"a".to_string(), Constraint::Absolute(1e9), 0).unwrap();
     let states = client.export_keys(&["a".to_string()]).unwrap();
@@ -51,6 +79,6 @@ fn sequential_server_serves_migration_verbs_and_defaults_leases_to_unsupported()
     assert_eq!(after.answer, before.answer);
 
     client.shutdown().unwrap();
-    let (exit, _store) = server.join().unwrap();
+    let (exit, _service) = server.join().unwrap();
     assert_eq!(exit, ServerExit::Shutdown);
 }

@@ -73,6 +73,9 @@
 //! simulation (the paper's Section 4 environment) with
 //! [`sim::systems::build_adaptive_simulation`] — it drives the same
 //! `PrecisionStore` through the event loop and reports the cost rate `Ω`.
+//! Any other [`shard::ShardBackend`] (a fleet, a runtime handle, a remote
+//! client) goes under the same driver through
+//! [`sim::systems::BackendSystem::over`].
 
 pub use apcache_baselines as baselines;
 pub use apcache_core as core;

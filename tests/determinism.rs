@@ -1,10 +1,13 @@
 //! Bit-level reproducibility across the full stack: identical seeds give
 //! identical traces, workloads, refresh sequences, and statistics.
 
+use apcache::core::cost::CostModel;
+use apcache::core::Key;
 use apcache::sim::systems::{
-    build_adaptive_simulation, AdaptiveSystemConfig, QuerySpec, WorkloadSpec,
+    build_adaptive_simulation, build_sharded_simulation, AdaptiveSystemConfig, QuerySpec,
+    ShardedSystemConfig, WorkloadSpec,
 };
-use apcache::sim::SimConfig;
+use apcache::sim::{Report, SimConfig};
 use apcache::workload::query::KindMix;
 use apcache::workload::trace::{TraceConfig, TraceSet};
 use apcache::workload::walk::WalkConfig;
@@ -86,4 +89,56 @@ fn walk_workloads_are_reproducible_through_the_driver() {
         .total_cost()
     };
     assert_eq!(run(), run());
+}
+
+/// One run's fingerprint: `vr_count`, `qr_count`, `total_cost().to_bits()`
+/// and `internal_width_of(Key(0)).to_bits()`.
+type Pin = (u64, u64, u64, u64);
+
+fn pin<S>(report: Report<S>, width_of_key_0: impl Fn(&S) -> Option<f64>) -> Pin {
+    let width = width_of_key_0(&report.system).expect("Key(0) is registered");
+    let stats = report.stats;
+    (stats.vr_count(), stats.qr_count(), stats.total_cost().to_bits(), width.to_bits())
+}
+
+/// The fixed-seed scenario behind the pinned literals: eight paper-default
+/// random walks, a SUM/MAX query mix, 600 simulated seconds.
+fn pinned_run(cost: CostModel, shards: Option<usize>) -> Pin {
+    let cfg = SimConfig::builder().duration_secs(600).warmup_secs(60).seed(2001).build().unwrap();
+    let workload = WorkloadSpec::random_walks(8, WalkConfig::paper_default());
+    let queries = QuerySpec {
+        period_secs: 1.0,
+        fanout: 4,
+        delta_avg: 20.0,
+        delta_rho: 1.0,
+        kind_mix: KindMix::SumOrMax,
+    };
+    let base = AdaptiveSystemConfig { cost, ..AdaptiveSystemConfig::default() };
+    match shards {
+        None => pin(
+            build_adaptive_simulation(&cfg, &base, workload, queries).unwrap().run().unwrap(),
+            |system| system.internal_width_of(Key(0)),
+        ),
+        Some(shards) => {
+            let sys = ShardedSystemConfig { base, shards, ..ShardedSystemConfig::default() };
+            pin(
+                build_sharded_simulation(&cfg, &sys, workload, queries).unwrap().run().unwrap(),
+                |system| system.internal_width_of(Key(0)),
+            )
+        }
+    }
+}
+
+#[test]
+fn pinned_literals_hold_for_the_system_every_figure_runs_on() {
+    // Recorded at commit 43194d8 (before the six simulator systems became
+    // one `BackendSystem`). θ = 4 draws on the store's RNG for every
+    // probabilistic width adjustment, so a changed seed-fork order in the
+    // simulation assembly cannot hide behind the deterministic θ = 1 path.
+    let (theta_1, theta_4) = (CostModel::multiversion(), CostModel::two_phase_locking());
+    let (w8, w4) = (8.0f64.to_bits(), 4.0f64.to_bits());
+    assert_eq!(pinned_run(theta_1, None), (469, 467, 1403.0f64.to_bits(), w8));
+    assert_eq!(pinned_run(theta_4, None), (155, 651, 1922.0f64.to_bits(), w8));
+    assert_eq!(pinned_run(theta_1, Some(4)), (648, 647, 1942.0f64.to_bits(), w4));
+    assert_eq!(pinned_run(theta_4, Some(4)), (220, 892, 2664.0f64.to_bits(), w4));
 }

@@ -18,23 +18,17 @@
 //! what a correct application does with a data-dependent query.
 
 mod common;
+#[path = "common/serving.rs"]
+mod serving;
 
-use apcache::reactor::{Reactor, ReactorConfig};
-use apcache::runtime::{Runtime, RuntimeHandle};
-use apcache::wire::{loopback, LoopbackStream, LoopbackTransport, RemoteStoreClient};
+use apcache::runtime::Runtime;
+use apcache::wire::RemoteStoreClient;
 use common::{assert_identical, fleet, run_sequential, run_windowed, trace, Op, Shape};
+use serving::reactor_over_loopback as serve;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const WINDOWS: [usize; 3] = [1, 4, 32];
 const SHAPE: Shape = Shape { n_keys: 24, ticks: 120, seed: 0x41BE_2001 };
-
-/// One in-process pipelined connection in front of `handle`'s runtime.
-fn serve(handle: &RuntimeHandle<String>) -> (Reactor<LoopbackStream>, LoopbackTransport) {
-    let reactor = Reactor::launch(handle, ReactorConfig::default()).expect("reactor launches");
-    let (server_end, client_end) = loopback();
-    reactor.add_connection(server_end.into_inner());
-    (reactor, client_end)
-}
 
 #[test]
 fn pipelined_window_is_bit_identical_to_sequential() {

@@ -16,24 +16,66 @@
 //!    unsubscribing leaves no registry entries behind once the server
 //!    reaps the connection.
 
+#[path = "common/serving.rs"]
+mod serving;
+
+use std::collections::HashMap;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use apcache::core::{Key, Rng, MS_PER_SEC};
+use apcache::core::{Interval, Key, Rng, MS_PER_SEC};
 use apcache::push::{FallbackWidth, LeaseConfig, PushFilter, PushReason};
 use apcache::reactor::{serve_reactor, ReactorConfig};
 use apcache::runtime::{Outcome, Runtime};
 use apcache::shard::ShardedStoreBuilder;
-use apcache::sim::stats::Stats;
-use apcache::sim::systems::{
-    AdaptiveSystemConfig, PipelinedSystemConfig, PushMirrorSystem, ShardedSystemConfig,
-};
-use apcache::sim::CacheSystem;
-use apcache::store::InitialWidth;
-use apcache::wire::{RemoteStoreClient, TcpTransport};
+use apcache::sim::systems::ShardedSystemConfig;
+use apcache::store::{Answer, Constraint, InitialWidth};
+use apcache::wire::{LoopbackTransport, RemoteStoreClient, TcpTransport};
 
 const N_KEYS: usize = 12;
 const TICKS: u64 = 50;
+
+type Client = RemoteStoreClient<Key, LoopbackTransport>;
+
+/// Apply every queued push to the mirror; returns how many there were.
+/// The shard actor queues a verb's pushes *before* it sends the verb's
+/// completion, so once a verb has been redeemed its pushes are already
+/// harvestable — draining after each verb keeps the mirror current.
+fn drain_pushes(client: &mut Client, mirror: &mut HashMap<Key, Interval>) -> u64 {
+    let mut applied = 0;
+    while let Some((_sub, event)) = client.poll_push() {
+        mirror.insert(event.key, event.interval);
+        applied += 1;
+    }
+    applied
+}
+
+/// Every key: the push-fed mirror vs. a polled read. A read with an
+/// always-satisfied constraint is a pure cache hit that cannot trigger a
+/// refresh, so polling never perturbs the state it checks.
+fn assert_mirror_matches_polling(
+    client: &mut Client,
+    mirror: &mut HashMap<Key, Interval>,
+    now: u64,
+    tag: &str,
+) {
+    for i in 0..N_KEYS {
+        let key = Key(i as u32);
+        let mirrored = mirror[&key];
+        let polled = client.read(&key, Constraint::Absolute(f64::INFINITY), now).unwrap();
+        assert!(!polled.refreshed, "an infinite constraint can never force a refresh");
+        assert_eq!(drain_pushes(client, mirror), 0, "{tag}: a pure cache hit pushed");
+        match polled.answer {
+            Answer::Interval(polled) => assert_eq!(
+                mirrored.to_bits(),
+                polled.to_bits(),
+                "{tag}: push mirror diverged from cache on {key:?}: \
+                 mirrored {mirrored:?}, polled {polled:?}"
+            ),
+            Answer::Exact(v) => panic!("{tag}: infinite-constraint read of {key:?} gave {v}"),
+        }
+    }
+}
 
 #[test]
 fn push_mirror_is_bit_identical_to_polling() {
@@ -42,57 +84,52 @@ fn push_mirror_is_bit_identical_to_polling() {
     // bit-for-bit at any shard count and with pipelined (windowed)
     // write submission.
     for shards in [1usize, 2, 4] {
-        let cfg = PipelinedSystemConfig {
-            base: ShardedSystemConfig {
-                shards,
-                base: AdaptiveSystemConfig::default(),
-                ..ShardedSystemConfig::default()
-            },
-            window: 8,
-            pool_sockets: 0,
-        };
         let initial: Vec<f64> = (0..N_KEYS).map(|i| 10.0 * (i as f64 + 1.0)).collect();
-        let mut system =
-            PushMirrorSystem::new(&cfg, &initial, Rng::seed_from_u64(0x2001 + shards as u64))
-                .unwrap();
-        assert_eq!(system.mirrored_keys(), N_KEYS);
+        let fleet = ShardedSystemConfig { shards, ..ShardedSystemConfig::default() }
+            .build_store(&initial, Rng::seed_from_u64(0x2001 + shards as u64))
+            .unwrap();
+        let runtime = Runtime::launch(fleet).unwrap();
+        let (reactor, client_end) = serving::reactor_over_loopback(&runtime.handle());
+        // A client that never asks for an interval: it subscribes to
+        // every key, seeds the mirror from the snapshots, and from then
+        // on applies whatever the server pushes.
+        let mut client: Client = RemoteStoreClient::with_window(client_end, 8);
+        let mut mirror: HashMap<Key, Interval> = (0..N_KEYS)
+            .map(|i| {
+                let key = Key(i as u32);
+                let (_sub, snapshot) = client.subscribe(&key, PushFilter::Always, 0).unwrap();
+                (key, snapshot)
+            })
+            .collect();
+        assert_eq!(mirror.len(), N_KEYS);
+        // Seeded from the snapshots alone, before any write.
+        assert_mirror_matches_polling(&mut client, &mut mirror, 0, &format!("shards={shards} t=0"));
 
         let mut rng = Rng::seed_from_u64(0xD1FF ^ shards as u64);
         let mut values = initial.clone();
-        let mut stats = Stats::new();
+        let mut applied = 0;
         for t in 1..=TICKS {
             let now = t * MS_PER_SEC;
             // A write burst per tick: random-walk every key, submitted
-            // as one pipelined window.
-            let batch: Vec<(Key, f64)> = (0..N_KEYS)
+            // as one pipelined window, then harvested.
+            let tickets: Vec<_> = (0..N_KEYS)
                 .map(|i| {
                     values[i] += rng.normal_with(0.0, 6.0);
-                    (Key(i as u32), values[i])
+                    client.submit_write(&Key(i as u32), values[i], now).unwrap()
                 })
                 .collect();
-            system.on_update_batch(&batch, now, &mut stats).unwrap();
-
-            // Every key, every tick: the push-fed mirror vs. a polled
-            // pure-cache-hit read of the same shard state.
-            for i in 0..N_KEYS {
-                let key = Key(i as u32);
-                let mirrored = system
-                    .interval_of(key, now)
-                    .unwrap_or_else(|| panic!("shards={shards}: {key:?} absent from mirror"));
-                let polled = system.poll_interval(key, now).unwrap();
-                assert_eq!(
-                    mirrored.to_bits(),
-                    polled.to_bits(),
-                    "shards={shards} t={t}: push mirror diverged from cache on {key:?}: \
-                     mirrored {mirrored:?}, polled {polled:?}"
-                );
+            for ticket in tickets {
+                client.wait_write(ticket).unwrap();
             }
+            applied += drain_pushes(&mut client, &mut mirror);
+            // Every key, every tick.
+            let tag = format!("shards={shards} t={t}");
+            assert_mirror_matches_polling(&mut client, &mut mirror, now, &tag);
         }
-        assert!(
-            system.pushes_applied() > 0,
-            "shards={shards}: a {TICKS}-tick random walk escaped no interval"
-        );
-        system.shutdown().unwrap();
+        assert!(applied > 0, "shards={shards}: a {TICKS}-tick random walk escaped no interval");
+        client.shutdown().unwrap();
+        reactor.join();
+        runtime.shutdown().unwrap();
     }
 }
 
