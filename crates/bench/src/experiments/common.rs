@@ -10,7 +10,7 @@ use apcache_sim::systems::{
     build_adaptive_simulation, AdaptiveSystemConfig, QuerySpec, WorkloadSpec,
 };
 use apcache_sim::{SimConfig, Stats};
-use apcache_wire::{loopback, LoopbackStream, LoopbackTransport, WireKey};
+use apcache_wire::{loopback, KeyCodec, LoopbackStream, LoopbackTransport};
 use apcache_workload::query::KindMix;
 use apcache_workload::trace::{TraceConfig, TraceSet};
 use apcache_workload::walk::WalkConfig;
@@ -27,7 +27,7 @@ pub fn serve_loopback<K>(
     conns: usize,
 ) -> (Reactor<LoopbackStream>, Vec<LoopbackTransport>)
 where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+    K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
 {
     let reactor =
         Reactor::launch(&runtime.handle(), ReactorConfig::default()).expect("reactor launches");

@@ -24,4 +24,3 @@ pub mod sensitivity;
 pub mod sharded;
 pub mod spool;
 pub mod telemetry;
-pub mod wire;

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use apcache_runtime::{Outcome, RuntimeHandle, Ticket};
 use apcache_telemetry::{Counter, Gauge, Registry, TraceKind};
 use apcache_wire::{
-    decode_frame, encode_framed, requires_v3, split_frame, v3_fault, FaultKind, WireError,
-    WireFault, WireKey, WireMessage, WireRequest, WireResponse, VERSION,
+    decode_frame, encode_framed, requires_v3, split_frame, v3_fault, FaultKind, KeyCodec,
+    WireError, WireFault, WireMessage, WireRequest, WireResponse, VERSION,
 };
 
 use crate::buffer::{ReadBuf, WriteBuf};
@@ -307,7 +307,7 @@ impl<S: Read + Write> Conn<S> {
         route: &mut RouteMap,
         budget: &mut usize,
     ) where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         if matches!(self.state, State::Draining { .. }) || self.dead {
             self.stalled = false;
@@ -329,7 +329,7 @@ impl<S: Read + Write> Conn<S> {
     /// Run the state machine over the buffered bytes.
     fn advance<K>(&mut self, handle: &RuntimeHandle<K>, route: &mut RouteMap, budget: &mut usize)
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         loop {
             match self.state {
@@ -380,7 +380,7 @@ impl<S: Read + Write> Conn<S> {
         budget: &mut usize,
     ) -> bool
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         self.stalled = false;
         loop {
@@ -538,7 +538,7 @@ impl<S: Read + Write> Conn<S> {
     /// A frame failed to decode: count it, trace it, drain.
     fn on_decode_fault<K>(&mut self, handle: &RuntimeHandle<K>)
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         if let Some(stats) = &self.stats {
             stats.decode_faults.inc();
@@ -555,7 +555,7 @@ impl<S: Read + Write> Conn<S> {
     /// are never routed and are dropped by the worker as orphans.
     pub(crate) fn enter_draining<K>(&mut self, ack: Option<(u64, u8)>, handle: &RuntimeHandle<K>)
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         if matches!(self.state, State::Draining { .. }) {
             return;
@@ -587,7 +587,7 @@ impl<S: Read + Write> Conn<S> {
         request_id: u64,
         version: u8,
     ) where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         let msg = match outcome {
             Ok(Outcome::Read(result)) => WireMessage::Response(WireResponse::Read(result)),
@@ -638,7 +638,7 @@ impl<S: Read + Write> Conn<S> {
 
     fn ship_response<K>(&mut self, version: u8, request_id: u64, response: WireResponse<K>)
     where
-        K: WireKey + Ord + Clone,
+        K: KeyCodec + Ord + Clone,
     {
         self.ship(version, request_id, &WireMessage::Response(response));
     }
@@ -646,7 +646,7 @@ impl<S: Read + Write> Conn<S> {
     /// Encode one frame into the write buffer and count it.
     fn ship<K>(&mut self, version: u8, request_id: u64, msg: &WireMessage<K>)
     where
-        K: WireKey + Ord + Clone,
+        K: KeyCodec + Ord + Clone,
     {
         let n = encode_framed(version, request_id, msg, self.wr.vec());
         self.pend_frames_out += 1;
@@ -674,7 +674,7 @@ impl<S: Read + Write> Conn<S> {
     /// 404. One request, then close — scrapers reconnect per scrape.
     fn respond_http<K>(&mut self, handle: &RuntimeHandle<K>)
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         let head = self.rd.bytes();
         let request_line = head.split(|&b| b == b'\r').next().unwrap_or(&[]);

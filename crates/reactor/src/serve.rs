@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use apcache_runtime::{Outcome, RuntimeHandle};
 use apcache_telemetry::{Counter, Gauge, TraceKind};
-use apcache_wire::{WireError, WireKey};
+use apcache_wire::{KeyCodec, WireError};
 
 use crate::conn::{Conn, RouteMap, SeqHash};
 use crate::poller::{build_poller, Interest, PollEvents, Poller, PollerKind, RawFd};
@@ -220,10 +220,11 @@ pub struct Reactor<S> {
 }
 
 impl<S: ReactorStream> Reactor<S> {
-    /// Spawn the worker pool in front of `handle`'s runtime.
+    /// Spawn the worker pool in front of `handle`'s runtime. `KeyCodec`
+    /// is `apcache_store`'s key trait — the one a spooled store needs too.
     pub fn launch<K>(handle: &RuntimeHandle<K>, config: ReactorConfig) -> io::Result<Self>
     where
-        K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+        K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
         let counters = ReactorCounters::register(handle.telemetry().registry());
         let worker_count = config.workers.max(1);
@@ -307,7 +308,7 @@ fn worker_loop<K, S>(
     counters: ReactorCounters,
     config: ReactorConfig,
 ) where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+    K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     S: ReactorStream,
 {
     let mut conns: HashMap<u64, Conn<S>, SeqHash> = HashMap::default();
@@ -560,7 +561,7 @@ pub fn serve_reactor<K>(
     config: ReactorConfig,
 ) -> Result<(), WireError>
 where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+    K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
 {
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 

@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
+use apcache_core::policy::ApproxSpec;
 use apcache_core::Interval;
 use apcache_push::{FallbackWidth, LeaseConfig, PushFilter, PushReason};
 use apcache_reactor::{serve_reactor, Reactor, ReactorConfig, ReactorStream};
@@ -233,6 +234,25 @@ fn an_export_frame_naming_a_key_twice_is_refused_and_detaches_nothing() {
     }
     assert_eq!(client.key_list().unwrap(), vec![1, 2, 3]);
     assert_eq!(client.read(&1, Constraint::Absolute(1e9), 0).unwrap(), before);
+    client.shutdown().unwrap();
+    finish(reactor, &runtime, true);
+    runtime.shutdown().unwrap();
+}
+
+#[test]
+fn an_import_frame_whose_interval_excludes_the_value_is_refused_and_installs_nothing() {
+    let runtime = fleet_123();
+    let (reactor, client_t) = serve_loopback(&runtime);
+    let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::new(client_t);
+    let mut state = client.export_keys(&[1]).unwrap().remove(0);
+    // Any v3 peer can send this: key 1 is 100, the frame claims [0, 1].
+    // Installed, it would be served as a cache hit that excludes the value.
+    let forged = ApproxSpec::Constant(Interval::new(0.0, 1.0).unwrap());
+    state.source_spec = forged;
+    state.cached = Some((forged, 1.0));
+    let err = client.import_keys(vec![state]).unwrap_err();
+    assert_eq!(err.fault_kind(), Some(FaultKind::Config));
+    assert_eq!(client.key_list().unwrap(), vec![2, 3]);
     client.shutdown().unwrap();
     finish(reactor, &runtime, true);
     runtime.shutdown().unwrap();

@@ -7,8 +7,8 @@ use apcache_core::cost::CostModel;
 use apcache_core::{Interval, Rng, TimeMs};
 use apcache_queries::AggregateKind;
 use apcache_store::{
-    AggregateOutcome, Constraint, InitialWidth, KeyState, PolicySpec, PrecisionStore, ReadResult,
-    SpoolConfig, SpoolKey, StoreBuilder, StoreError, StoreMetrics, WriteOutcome,
+    AggregateOutcome, Constraint, InitialWidth, KeyCodec, KeyState, PolicySpec, PrecisionStore,
+    ReadResult, SpoolConfig, StoreBuilder, StoreError, StoreMetrics, WriteOutcome,
 };
 
 use crate::backend::ShardBackend;
@@ -43,7 +43,7 @@ pub struct ShardedStoreBuilder<K> {
 }
 
 /// A pending fleet-wide spool: the root directory plus the attach hook
-/// captured while the `K: SpoolKey` bound was in scope (the same fn-
+/// captured while the `K: KeyCodec` bound was in scope (the same fn-
 /// pointer erasure trick [`StoreBuilder`] itself uses), so the rest of
 /// the builder needs no spool bounds.
 #[derive(Debug, Clone)]
@@ -135,10 +135,11 @@ impl<K: Hash + Ord + Clone> ShardedStoreBuilder<K> {
     /// Give every shard a durable write-ahead spool under `dir`: shard
     /// `i` logs to `dir/shard-<ring id>/`, and `dir/fleet.manifest`
     /// records the ring shape so [`ShardedStore::recover`] can rebuild
-    /// the identical fleet after a crash or restart.
+    /// the identical fleet after a crash or restart. The key bound is the
+    /// one the wire layer asks for too: one `KeyCodec` impl serves both.
     pub fn with_spool(self, dir: impl Into<String>) -> Self
     where
-        K: SpoolKey,
+        K: KeyCodec,
     {
         self.with_spool_config(dir, SpoolConfig::default())
     }
@@ -147,7 +148,7 @@ impl<K: Hash + Ord + Clone> ShardedStoreBuilder<K> {
     /// segment-size and fsync tuning applied to every shard's spool.
     pub fn with_spool_config(mut self, dir: impl Into<String>, cfg: SpoolConfig) -> Self
     where
-        K: SpoolKey,
+        K: KeyCodec,
     {
         self.spool = Some(FleetSpool {
             dir: dir.into(),
@@ -672,7 +673,7 @@ impl<K: Hash + Ord + Clone> ShardedStore<K, PrecisionStore<K>> {
     }
 }
 
-impl<K: SpoolKey + Hash + Ord + Clone> ShardedStore<K, PrecisionStore<K>> {
+impl<K: KeyCodec + Hash + Ord + Clone> ShardedStore<K, PrecisionStore<K>> {
     /// Rebuild a fleet from the spool directory a previous process left
     /// behind (written by
     /// [`with_spool`](ShardedStoreBuilder::with_spool)): read the fleet

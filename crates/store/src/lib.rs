@@ -19,6 +19,13 @@
 //! * [`PrecisionStore::metrics`] — per-key and aggregate refresh/cost
 //!   counters, the same vocabulary as the simulator's `Stats`.
 //!
+//! The [`codec`] module owns the byte layout of everything that leaves
+//! the process — keys ([`KeyCodec`]), [`PolicySpec`], [`KeyMetrics`] and a
+//! key's whole [`KeyState`]. The durable [`spool`] and the `apcache-wire`
+//! frames both call it, so a state is the same bytes on disk and on the
+//! wire, and those bytes only change with a snapshot- and
+//! protocol-version bump.
+//!
 //! Keys are generic (`K: Hash + Ord + Clone`), precision policies are
 //! pluggable per key through the [`PolicySpec`] constructor enum, and the
 //! engine deliberately over/under-shoots the requested precision between
@@ -51,6 +58,7 @@
 #![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 pub mod constraint;
 pub mod error;
 pub mod metrics;
@@ -59,12 +67,12 @@ pub mod policy;
 pub mod spool;
 pub mod store;
 
+pub use codec::KeyCodec;
 pub use constraint::Constraint;
 pub use error::StoreError;
 pub use metrics::{KeyMetrics, StoreMetrics};
 pub use migrate::KeyState;
 pub use policy::{InitialWidth, PolicySpec};
-pub use spool::{SpoolKey, SpoolReader};
 // The spool vocabulary that appears in this crate's public durability
 // API, re-exported so downstream layers need no direct spool dependency.
 pub use apcache_spool::{FsyncPolicy, MemIo, SpoolConfig, SpoolError, SpoolIo, StdFsIo};

@@ -19,20 +19,21 @@
 //!   unchanged). Taking a snapshot lets the spool delete every earlier
 //!   segment.
 //!
-//! All integers are little-endian and `f64`s travel as IEEE-754 bit
-//! patterns, the same conventions as the wire codec — round trips are
-//! bit-identical.
+//! Only the record and snapshot *framing* is defined here; keys, policy
+//! recipes and each key's [`KeyState`] are written and read through
+//! [`crate::codec`], the same functions the wire layer calls, so a state
+//! is the same bytes on disk and in an `ExportKeys` frame.
 
 use apcache_core::cost::CostModel;
-use apcache_core::policy::ApproxSpec;
-use apcache_core::{Interval, TimeMs};
+use apcache_core::TimeMs;
 use apcache_spool::{Record, Spool, SpoolConfig, SpoolError, SpoolIo};
 
+use crate::codec::{
+    put_bool, put_f64, put_key_states, put_policy_spec, put_u64, put_u8, read_key_states,
+    read_policy_spec, DecodeError, KeyCodec, Reader,
+};
 use crate::error::StoreError;
-use crate::metrics::KeyMetrics;
 use crate::migrate::KeyState;
-use apcache_core::policy::{GrowthLaw, Weighting};
-
 use crate::policy::{InitialWidth, PolicySpec};
 
 /// Record kind: one applied [`write`](crate::PrecisionStore::write)
@@ -60,339 +61,10 @@ impl From<SpoolError> for StoreError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Byte primitives (little-endian, bit-exact f64).
-// ---------------------------------------------------------------------
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_str(buf: &mut Vec<u8>, v: &str) {
-    put_u32(buf, u32::try_from(v.len()).unwrap_or(u32::MAX));
-    buf.extend_from_slice(v.as_bytes());
-}
-
-fn bad(what: &'static str) -> StoreError {
-    StoreError::Spool(format!("malformed spool record: {what}"))
-}
-
-/// Bounds-checked cursor over a replayed record payload.
-#[derive(Debug)]
-pub struct SpoolReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SpoolReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        SpoolReader { buf, pos: 0 }
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        StoreError::Spool(format!("malformed spool record: {e}"))
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.buf.len() - self.pos < n {
-            return Err(bad("truncated field"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Next little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Next length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, StoreError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| bad("invalid UTF-8 in key"))
-    }
-
-    fn seq(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_elem_bytes.max(1)) > self.buf.len() - self.pos {
-            return Err(bad("sequence count exceeds payload"));
-        }
-        Ok(count)
-    }
-
-    fn finish(self) -> Result<(), StoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad("trailing bytes"))
-        }
-    }
-}
-
-/// A key type that can be persisted in the spool. Implementations must be
-/// exact round trips: `decode_key(encode_key(k)) == k`.
-///
-/// Provided for `String`, `u32`, `u64`, and the protocol's interned
-/// [`Key`](apcache_core::Key) — the same set the wire layer accepts.
-pub trait SpoolKey: Sized {
-    /// Append this key's spool form.
-    fn encode_key(&self, buf: &mut Vec<u8>);
-    /// Decode one key.
-    fn decode_key(r: &mut SpoolReader<'_>) -> Result<Self, StoreError>;
-}
-
-impl SpoolKey for String {
-    fn encode_key(&self, buf: &mut Vec<u8>) {
-        put_str(buf, self);
-    }
-    fn decode_key(r: &mut SpoolReader<'_>) -> Result<Self, StoreError> {
-        r.str()
-    }
-}
-
-impl SpoolKey for u64 {
-    fn encode_key(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, *self);
-    }
-    fn decode_key(r: &mut SpoolReader<'_>) -> Result<Self, StoreError> {
-        r.u64()
-    }
-}
-
-impl SpoolKey for u32 {
-    fn encode_key(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, *self);
-    }
-    fn decode_key(r: &mut SpoolReader<'_>) -> Result<Self, StoreError> {
-        r.u32()
-    }
-}
-
-impl SpoolKey for apcache_core::Key {
-    fn encode_key(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.0);
-    }
-    fn decode_key(r: &mut SpoolReader<'_>) -> Result<Self, StoreError> {
-        Ok(apcache_core::Key(r.u32()?))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Field codecs (mirroring the wire layer's layouts).
-// ---------------------------------------------------------------------
-
-fn put_interval(buf: &mut Vec<u8>, iv: &Interval) {
-    let (lo, hi) = iv.to_bits();
-    put_u64(buf, lo);
-    put_u64(buf, hi);
-}
-
-fn read_interval(r: &mut SpoolReader<'_>) -> Result<Interval, StoreError> {
-    let lo = r.u64()?;
-    let hi = r.u64()?;
-    Interval::from_bits(lo, hi).map_err(|_| bad("interval bounds"))
-}
-
-fn put_spec(buf: &mut Vec<u8>, spec: &ApproxSpec) {
-    match *spec {
-        ApproxSpec::Constant(iv) => {
-            put_u8(buf, 0);
-            put_interval(buf, &iv);
-        }
-        ApproxSpec::Growing { center, base_width, coeff, exponent, t0 } => {
-            put_u8(buf, 1);
-            put_f64(buf, center);
-            put_f64(buf, base_width);
-            put_f64(buf, coeff);
-            put_f64(buf, exponent);
-            put_u64(buf, t0);
-        }
-        ApproxSpec::Drifting { lo0, hi0, rate_per_sec, t0 } => {
-            put_u8(buf, 2);
-            put_f64(buf, lo0);
-            put_f64(buf, hi0);
-            put_f64(buf, rate_per_sec);
-            put_u64(buf, t0);
-        }
-    }
-}
-
-fn read_spec(r: &mut SpoolReader<'_>) -> Result<ApproxSpec, StoreError> {
-    match r.u8()? {
-        0 => Ok(ApproxSpec::Constant(read_interval(r)?)),
-        1 => Ok(ApproxSpec::Growing {
-            center: r.f64()?,
-            base_width: r.f64()?,
-            coeff: r.f64()?,
-            exponent: r.f64()?,
-            t0: r.u64()?,
-        }),
-        2 => Ok(ApproxSpec::Drifting {
-            lo0: r.f64()?,
-            hi0: r.f64()?,
-            rate_per_sec: r.f64()?,
-            t0: r.u64()?,
-        }),
-        _ => Err(bad("approximation spec tag")),
-    }
-}
-
-fn put_policy_spec(buf: &mut Vec<u8>, spec: &PolicySpec) {
-    match *spec {
-        PolicySpec::Adaptive => put_u8(buf, 0),
-        PolicySpec::Uncentered => put_u8(buf, 1),
-        PolicySpec::TimeVarying(law) => {
-            put_u8(buf, 2);
-            put_f64(buf, law.coeff());
-            put_f64(buf, law.exponent());
-        }
-        PolicySpec::Drifting { rate_per_sec } => {
-            put_u8(buf, 3);
-            put_f64(buf, rate_per_sec);
-        }
-        PolicySpec::History { r, weighting } => {
-            put_u8(buf, 4);
-            put_u64(buf, r as u64);
-            match weighting {
-                Weighting::Uniform => put_u8(buf, 0),
-                Weighting::Exponential { decay } => {
-                    put_u8(buf, 1);
-                    put_f64(buf, decay);
-                }
-            }
-        }
-        PolicySpec::Fixed { width } => {
-            put_u8(buf, 5);
-            put_f64(buf, width);
-        }
-        PolicySpec::StaleCounter => put_u8(buf, 6),
-    }
-}
-
-fn read_policy_spec(r: &mut SpoolReader<'_>) -> Result<PolicySpec, StoreError> {
-    Ok(match r.u8()? {
-        0 => PolicySpec::Adaptive,
-        1 => PolicySpec::Uncentered,
-        2 => {
-            let (coeff, exponent) = (r.f64()?, r.f64()?);
-            PolicySpec::TimeVarying(
-                GrowthLaw::new(coeff, exponent).map_err(|_| bad("growth law constants"))?,
-            )
-        }
-        3 => PolicySpec::Drifting { rate_per_sec: r.f64()? },
-        4 => {
-            let window =
-                usize::try_from(r.u64()?).map_err(|_| bad("history window overflows usize"))?;
-            let weighting = match r.u8()? {
-                0 => Weighting::Uniform,
-                1 => {
-                    let decay = r.f64()?;
-                    if !(decay.is_finite() && 0.0 < decay && decay < 1.0) {
-                        return Err(bad("history decay outside (0, 1)"));
-                    }
-                    Weighting::Exponential { decay }
-                }
-                _ => return Err(bad("history weighting tag")),
-            };
-            PolicySpec::History { r: window, weighting }
-        }
-        5 => PolicySpec::Fixed { width: r.f64()? },
-        6 => PolicySpec::StaleCounter,
-        _ => return Err(bad("policy spec tag")),
-    })
-}
-
-fn put_key_metrics(buf: &mut Vec<u8>, m: &KeyMetrics) {
-    put_u64(buf, m.reads);
-    put_u64(buf, m.cache_hits);
-    put_u64(buf, m.writes);
-    put_u64(buf, m.vr_count);
-    put_u64(buf, m.qr_count);
-    put_f64(buf, m.vr_cost);
-    put_f64(buf, m.qr_cost);
-}
-
-fn read_key_metrics(r: &mut SpoolReader<'_>) -> Result<KeyMetrics, StoreError> {
-    Ok(KeyMetrics {
-        reads: r.u64()?,
-        cache_hits: r.u64()?,
-        writes: r.u64()?,
-        vr_count: r.u64()?,
-        qr_count: r.u64()?,
-        vr_cost: r.f64()?,
-        qr_cost: r.f64()?,
-    })
-}
-
-fn put_key_state<K: SpoolKey>(buf: &mut Vec<u8>, state: &KeyState<K>) {
-    state.key.encode_key(buf);
-    put_f64(buf, state.value);
-    put_policy_spec(buf, &state.spec);
-    put_u32(buf, u32::try_from(state.policy_state.len()).unwrap_or(u32::MAX));
-    for word in &state.policy_state {
-        put_f64(buf, *word);
-    }
-    put_spec(buf, &state.source_spec);
-    match &state.cached {
-        None => put_u8(buf, 0),
-        Some((spec, internal_width)) => {
-            put_u8(buf, 1);
-            put_spec(buf, spec);
-            put_f64(buf, *internal_width);
-        }
-    }
-    match &state.metrics {
-        None => put_u8(buf, 0),
-        Some(metrics) => {
-            put_u8(buf, 1);
-            put_key_metrics(buf, metrics);
-        }
-    }
-}
-
-fn read_key_state<K: SpoolKey>(r: &mut SpoolReader<'_>) -> Result<KeyState<K>, StoreError> {
-    let key = K::decode_key(r)?;
-    let value = r.f64()?;
-    let spec = read_policy_spec(r)?;
-    let n = r.seq(8)?;
-    let mut policy_state = Vec::with_capacity(n);
-    for _ in 0..n {
-        policy_state.push(r.f64()?);
-    }
-    let source_spec = read_spec(r)?;
-    let cached = match r.u8()? {
-        0 => None,
-        1 => Some((read_spec(r)?, r.f64()?)),
-        _ => return Err(bad("cache residency tag")),
-    };
-    let metrics = match r.u8()? {
-        0 => None,
-        1 => Some(read_key_metrics(r)?),
-        _ => return Err(bad("key metrics option tag")),
-    };
-    Ok(KeyState { key, value, spec, policy_state, source_spec, cached, metrics })
 }
 
 // ---------------------------------------------------------------------
@@ -416,7 +88,7 @@ pub(crate) struct SnapshotImage<K> {
     pub keys: Vec<KeyState<K>>,
 }
 
-pub(crate) fn encode_snapshot<K: SpoolKey>(image: &SnapshotImage<K>, buf: &mut Vec<u8>) {
+pub(crate) fn encode_snapshot<K: KeyCodec>(image: &SnapshotImage<K>, buf: &mut Vec<u8>) {
     put_u8(buf, SNAPSHOT_VERSION);
     put_f64(buf, image.cost.c_vr());
     put_f64(buf, image.cost.c_qr());
@@ -445,43 +117,40 @@ pub(crate) fn encode_snapshot<K: SpoolKey>(image: &SnapshotImage<K>, buf: &mut V
     for word in image.rng_words {
         put_u64(buf, word);
     }
-    put_u32(buf, u32::try_from(image.keys.len()).unwrap_or(u32::MAX));
-    for state in &image.keys {
-        put_key_state(buf, state);
-    }
+    put_key_states(buf, &image.keys);
 }
 
-pub(crate) fn decode_snapshot<K: SpoolKey>(bytes: &[u8]) -> Result<SnapshotImage<K>, StoreError> {
-    let mut r = SpoolReader::new(bytes);
+pub(crate) fn decode_snapshot<K: KeyCodec>(bytes: &[u8]) -> Result<SnapshotImage<K>, StoreError> {
+    let mut r = Reader::new(bytes);
     if r.u8()? != SNAPSHOT_VERSION {
-        return Err(bad("unsupported snapshot version"));
+        return Err(DecodeError::InvalidPayload("unsupported snapshot version").into());
     }
     let c_vr = r.f64()?;
     let c_qr = r.f64()?;
-    let cost = CostModel::new(c_vr, c_qr).map_err(|_| bad("cost model parameters"))?;
+    let cost = CostModel::new(c_vr, c_qr)
+        .map_err(|_| DecodeError::InvalidPayload("cost model parameters"))?;
     let alpha = r.f64()?;
     let gamma0 = r.f64()?;
     let gamma1 = r.f64()?;
     let capacity = match r.u8()? {
         0 => None,
-        1 => Some(usize::try_from(r.u64()?).map_err(|_| bad("cache capacity overflows usize"))?),
-        _ => return Err(bad("capacity option tag")),
+        1 => Some(
+            usize::try_from(r.u64()?)
+                .map_err(|_| DecodeError::InvalidPayload("cache capacity overflows usize"))?,
+        ),
+        tag => return Err(DecodeError::UnknownTag { context: "capacity option", tag }.into()),
     };
     let initial_width = match r.u8()? {
         0 => InitialWidth::Fixed(r.f64()?),
         1 => InitialWidth::Relative { frac: r.f64()?, floor: r.f64()? },
-        _ => return Err(bad("initial width tag")),
+        tag => return Err(DecodeError::UnknownTag { context: "initial width", tag }.into()),
     };
     let default_policy = read_policy_spec(&mut r)?;
     let mut rng_words = [0u64; 5];
     for word in &mut rng_words {
         *word = r.u64()?;
     }
-    let n = r.seq(1)?;
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(read_key_state(&mut r)?);
-    }
+    let keys = read_key_states(&mut r)?;
     r.finish()?;
     Ok(SnapshotImage {
         cost,
@@ -497,7 +166,7 @@ pub(crate) fn decode_snapshot<K: SpoolKey>(bytes: &[u8]) -> Result<SnapshotImage
 }
 
 // ---------------------------------------------------------------------
-// Replayed mutations.
+// Log records.
 // ---------------------------------------------------------------------
 
 /// One decoded log record: a mutation to re-apply through the store's
@@ -510,54 +179,8 @@ pub(crate) enum Mutation<K> {
     Refresh { key: K, counted_as_read: bool, now: TimeMs },
 }
 
-#[cfg(test)]
-pub(crate) fn encode_write<K: SpoolKey>(key: &K, value: f64, now: TimeMs, buf: &mut Vec<u8>) {
-    key.encode_key(buf);
-    put_f64(buf, value);
-    put_u64(buf, now);
-}
-
-#[cfg(test)]
-pub(crate) fn encode_insert<K: SpoolKey>(
-    key: &K,
-    value: f64,
-    spec: Option<&PolicySpec>,
-    now: TimeMs,
-    buf: &mut Vec<u8>,
-) {
-    key.encode_key(buf);
-    put_f64(buf, value);
-    match spec {
-        None => put_u8(buf, 0),
-        Some(spec) => {
-            put_u8(buf, 1);
-            put_policy_spec(buf, spec);
-        }
-    }
-    put_u64(buf, now);
-}
-
-#[cfg(test)]
-pub(crate) fn encode_widen<K: SpoolKey>(key: &K, width: f64, now: TimeMs, buf: &mut Vec<u8>) {
-    key.encode_key(buf);
-    put_f64(buf, width);
-    put_u64(buf, now);
-}
-
-#[cfg(test)]
-pub(crate) fn encode_refresh<K: SpoolKey>(
-    key: &K,
-    counted_as_read: bool,
-    now: TimeMs,
-    buf: &mut Vec<u8>,
-) {
-    key.encode_key(buf);
-    put_u8(buf, counted_as_read as u8);
-    put_u64(buf, now);
-}
-
-pub(crate) fn decode_mutation<K: SpoolKey>(record: &Record) -> Result<Mutation<K>, StoreError> {
-    let mut r = SpoolReader::new(&record.payload);
+pub(crate) fn decode_mutation<K: KeyCodec>(record: &Record) -> Result<Mutation<K>, StoreError> {
+    let mut r = Reader::new(&record.payload);
     let mutation = match record.kind {
         REC_WRITE => {
             Mutation::Write { key: K::decode_key(&mut r)?, value: r.f64()?, now: r.u64()? }
@@ -568,23 +191,19 @@ pub(crate) fn decode_mutation<K: SpoolKey>(record: &Record) -> Result<Mutation<K
             let spec = match r.u8()? {
                 0 => None,
                 1 => Some(read_policy_spec(&mut r)?),
-                _ => return Err(bad("insert policy option tag")),
+                tag => return Err(DecodeError::UnknownTag { context: "insert policy", tag }.into()),
             };
             Mutation::Insert { key, value, spec, now: r.u64()? }
         }
         REC_WIDEN => {
             Mutation::Widen { key: K::decode_key(&mut r)?, width: r.f64()?, now: r.u64()? }
         }
-        REC_REFRESH => {
-            let key = K::decode_key(&mut r)?;
-            let counted_as_read = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("refresh read flag")),
-            };
-            Mutation::Refresh { key, counted_as_read, now: r.u64()? }
-        }
-        _ => return Err(bad("unknown record kind")),
+        REC_REFRESH => Mutation::Refresh {
+            key: K::decode_key(&mut r)?,
+            counted_as_read: r.bool()?,
+            now: r.u64()?,
+        },
+        tag => return Err(DecodeError::UnknownTag { context: "record kind", tag }.into()),
     };
     r.finish()?;
     Ok(mutation)
@@ -595,7 +214,7 @@ pub(crate) fn decode_mutation<K: SpoolKey>(record: &Record) -> Result<Mutation<K
 // ---------------------------------------------------------------------
 
 /// An open spool attached to a store: the segmented log plus the key
-/// encoder captured when the (SpoolKey-bounded) attach ran, so the hot
+/// encoder captured when the (`KeyCodec`-bounded) attach ran, so the hot
 /// mutation paths need no extra trait bounds.
 pub(crate) struct StoreSpool<K> {
     spool: Spool<Box<dyn SpoolIo>>,
@@ -622,15 +241,29 @@ impl<K> StoreSpool<K> {
         Ok((StoreSpool { spool, encode, encode_snapshot, buf: Vec::new() }, recovery))
     }
 
-    pub(crate) fn log_write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<(), StoreError> {
+    /// Append one record of `kind`: the key, then whatever `fill` writes
+    /// after it, through the reused scratch buffer. The `log_*` verbs
+    /// below are the only encoders of their record kinds.
+    fn append(
+        &mut self,
+        kind: u8,
+        key: &K,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), StoreError> {
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
         (self.encode)(key, &mut buf);
-        put_f64(&mut buf, value);
-        put_u64(&mut buf, now);
-        let result = self.spool.append(REC_WRITE, &buf);
+        fill(&mut buf);
+        let result = self.spool.append(kind, &buf);
         self.buf = buf;
         Ok(result?)
+    }
+
+    pub(crate) fn log_write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<(), StoreError> {
+        self.append(REC_WRITE, key, |buf| {
+            put_f64(buf, value);
+            put_u64(buf, now);
+        })
     }
 
     pub(crate) fn log_insert(
@@ -640,32 +273,24 @@ impl<K> StoreSpool<K> {
         spec: Option<&PolicySpec>,
         now: TimeMs,
     ) -> Result<(), StoreError> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        (self.encode)(key, &mut buf);
-        put_f64(&mut buf, value);
-        match spec {
-            None => put_u8(&mut buf, 0),
-            Some(spec) => {
-                put_u8(&mut buf, 1);
-                put_policy_spec(&mut buf, spec);
+        self.append(REC_INSERT, key, |buf| {
+            put_f64(buf, value);
+            match spec {
+                None => put_u8(buf, 0),
+                Some(spec) => {
+                    put_u8(buf, 1);
+                    put_policy_spec(buf, spec);
+                }
             }
-        }
-        put_u64(&mut buf, now);
-        let result = self.spool.append(REC_INSERT, &buf);
-        self.buf = buf;
-        Ok(result?)
+            put_u64(buf, now);
+        })
     }
 
     pub(crate) fn log_widen(&mut self, key: &K, width: f64, now: TimeMs) -> Result<(), StoreError> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        (self.encode)(key, &mut buf);
-        put_f64(&mut buf, width);
-        put_u64(&mut buf, now);
-        let result = self.spool.append(REC_WIDEN, &buf);
-        self.buf = buf;
-        Ok(result?)
+        self.append(REC_WIDEN, key, |buf| {
+            put_f64(buf, width);
+            put_u64(buf, now);
+        })
     }
 
     pub(crate) fn log_refresh(
@@ -674,14 +299,10 @@ impl<K> StoreSpool<K> {
         counted_as_read: bool,
         now: TimeMs,
     ) -> Result<(), StoreError> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        (self.encode)(key, &mut buf);
-        put_u8(&mut buf, counted_as_read as u8);
-        put_u64(&mut buf, now);
-        let result = self.spool.append(REC_REFRESH, &buf);
-        self.buf = buf;
-        Ok(result?)
+        self.append(REC_REFRESH, key, |buf| {
+            put_bool(buf, counted_as_read);
+            put_u64(buf, now);
+        })
     }
 
     pub(crate) fn write_snapshot_image(
@@ -708,132 +329,12 @@ impl<K> StoreSpool<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{golden_state, hex, GOLDEN_HEX};
     use apcache_core::Rng;
     use apcache_spool::MemIo;
 
-    fn reader_of(buf: &[u8]) -> SpoolReader<'_> {
-        SpoolReader::new(buf)
-    }
-
-    #[test]
-    fn key_codecs_round_trip() {
-        let mut buf = Vec::new();
-        "route/飛行".to_string().encode_key(&mut buf);
-        7u32.encode_key(&mut buf);
-        9u64.encode_key(&mut buf);
-        apcache_core::Key(21).encode_key(&mut buf);
-        let mut r = reader_of(&buf);
-        assert_eq!(String::decode_key(&mut r).unwrap(), "route/飛行");
-        assert_eq!(u32::decode_key(&mut r).unwrap(), 7);
-        assert_eq!(u64::decode_key(&mut r).unwrap(), 9);
-        assert_eq!(apcache_core::Key::decode_key(&mut r).unwrap(), apcache_core::Key(21));
-        assert!(r.finish().is_ok());
-    }
-
-    #[test]
-    fn policy_specs_round_trip() {
-        let specs = [
-            PolicySpec::Adaptive,
-            PolicySpec::Uncentered,
-            PolicySpec::TimeVarying(GrowthLaw::new(2.0, 0.5).unwrap()),
-            PolicySpec::Drifting { rate_per_sec: 1.25 },
-            PolicySpec::History { r: 5, weighting: Weighting::Uniform },
-            PolicySpec::History { r: 3, weighting: Weighting::Exponential { decay: 0.5 } },
-            PolicySpec::Fixed { width: 7.5 },
-            PolicySpec::StaleCounter,
-        ];
-        for spec in specs {
-            let mut buf = Vec::new();
-            put_policy_spec(&mut buf, &spec);
-            let mut r = reader_of(&buf);
-            assert_eq!(read_policy_spec(&mut r).unwrap(), spec);
-            assert!(r.finish().is_ok());
-        }
-    }
-
-    #[test]
-    fn key_state_round_trips_bit_exactly() {
-        let state = KeyState {
-            key: "sensor-9".to_string(),
-            value: -0.0,
-            spec: PolicySpec::Adaptive,
-            policy_state: vec![12.5, f64::INFINITY, -3.0],
-            source_spec: ApproxSpec::Constant(Interval::new(1.0, 2.0).unwrap()),
-            cached: Some((
-                ApproxSpec::Growing {
-                    center: 1.5,
-                    base_width: 1.0,
-                    coeff: 0.1,
-                    exponent: 0.5,
-                    t0: 77,
-                },
-                30.0,
-            )),
-            metrics: Some(KeyMetrics {
-                reads: 4,
-                cache_hits: 3,
-                writes: 2,
-                vr_count: 1,
-                qr_count: 1,
-                vr_cost: 1.5,
-                qr_cost: 2.5,
-            }),
-        };
-        let mut buf = Vec::new();
-        put_key_state(&mut buf, &state);
-        let mut r = reader_of(&buf);
-        let back: KeyState<String> = read_key_state(&mut r).unwrap();
-        assert!(r.finish().is_ok());
-        assert_eq!(back, state);
-        assert!(back.value.to_bits() == state.value.to_bits(), "-0.0 preserved exactly");
-    }
-
-    #[test]
-    fn mutations_round_trip_through_records() {
-        let mut buf = Vec::new();
-        encode_write(&"k1".to_string(), 10.5, 1_000, &mut buf);
-        let rec = Record { kind: REC_WRITE, payload: buf };
-        assert_eq!(
-            decode_mutation::<String>(&rec).unwrap(),
-            Mutation::Write { key: "k1".into(), value: 10.5, now: 1_000 }
-        );
-
-        let mut buf = Vec::new();
-        encode_insert(&"k2".to_string(), 3.0, Some(&PolicySpec::Fixed { width: 2.0 }), 5, &mut buf);
-        let rec = Record { kind: REC_INSERT, payload: buf };
-        assert_eq!(
-            decode_mutation::<String>(&rec).unwrap(),
-            Mutation::Insert {
-                key: "k2".into(),
-                value: 3.0,
-                spec: Some(PolicySpec::Fixed { width: 2.0 }),
-                now: 5
-            }
-        );
-
-        let mut buf = Vec::new();
-        encode_widen(&"k3".to_string(), 44.0, 9, &mut buf);
-        let rec = Record { kind: REC_WIDEN, payload: buf };
-        assert_eq!(
-            decode_mutation::<String>(&rec).unwrap(),
-            Mutation::Widen { key: "k3".into(), width: 44.0, now: 9 }
-        );
-
-        let mut buf = Vec::new();
-        encode_refresh(&"k4".to_string(), true, 12, &mut buf);
-        let rec = Record { kind: REC_REFRESH, payload: buf };
-        assert_eq!(
-            decode_mutation::<String>(&rec).unwrap(),
-            Mutation::Refresh { key: "k4".into(), counted_as_read: true, now: 12 }
-        );
-
-        let junk = Record { kind: 200, payload: Vec::new() };
-        assert!(decode_mutation::<String>(&junk).is_err());
-    }
-
-    #[test]
-    fn snapshot_image_round_trips() {
-        let image = SnapshotImage {
+    fn golden_image() -> SnapshotImage<String> {
+        SnapshotImage {
             cost: CostModel::new(1.0, 2.0).unwrap(),
             alpha: 1.0,
             gamma0: 0.5,
@@ -842,51 +343,107 @@ mod tests {
             initial_width: InitialWidth::Relative { frac: 0.1, floor: 1.0 },
             default_policy: PolicySpec::Adaptive,
             rng_words: Rng::seed_from_u64(7).state_words(),
-            keys: vec![KeyState {
-                key: 42u64,
-                value: 9.0,
-                spec: PolicySpec::Adaptive,
-                policy_state: vec![8.0],
-                source_spec: ApproxSpec::Constant(Interval::new(5.0, 13.0).unwrap()),
-                cached: None,
-                metrics: None,
-            }],
-        };
+            keys: vec![golden_state()],
+        }
+    }
+
+    /// One record of each `REC_*` kind, as `StoreSpool::log_*` wrote it
+    /// and a reopened spool replays it.
+    fn one_record_of_each_kind() -> Vec<(Record, Mutation<String>)> {
+        let (mut ss, _) = StoreSpool::<String>::open(
+            Box::new(MemIo::new()),
+            "d",
+            SpoolConfig::default(),
+            <String as KeyCodec>::encode_key,
+            encode_snapshot::<String>,
+        )
+        .unwrap();
+        let key = "k".to_string();
+        let spec = PolicySpec::Fixed { width: 2.0 };
+        ss.log_write(&key, 10.5, 1_000).unwrap();
+        ss.log_insert(&key, 3.0, Some(&spec), 5).unwrap();
+        ss.log_widen(&key, 44.0, 9).unwrap();
+        ss.log_refresh(&key, true, 12).unwrap();
+        let (_, replayed) = Spool::open(ss.into_io(), "d", SpoolConfig::default()).unwrap();
+        let expect = [
+            Mutation::Write { key: key.clone(), value: 10.5, now: 1_000 },
+            Mutation::Insert { key: key.clone(), value: 3.0, spec: Some(spec), now: 5 },
+            Mutation::Widen { key: key.clone(), width: 44.0, now: 9 },
+            Mutation::Refresh { key, counted_as_read: true, now: 12 },
+        ];
+        assert_eq!(replayed.records.len(), expect.len());
+        replayed.records.into_iter().zip(expect).collect()
+    }
+
+    #[test]
+    fn mutations_round_trip_through_records() {
+        for (record, expect) in one_record_of_each_kind() {
+            assert_eq!(decode_mutation::<String>(&record).unwrap(), expect);
+        }
+        let junk = Record { kind: 200, payload: Vec::new() };
+        assert!(matches!(decode_mutation::<String>(&junk), Err(StoreError::Spool(_))));
+    }
+
+    #[test]
+    fn snapshot_image_round_trips_around_the_golden_key_state() {
+        let image = golden_image();
         let mut buf = Vec::new();
         encode_snapshot(&image, &mut buf);
-        let back: SnapshotImage<u64> = decode_snapshot(&buf).unwrap();
+        // The key's state is the shared codec's bytes, verbatim, at the
+        // image's tail (after the u32 key count).
+        assert!(hex(&buf).ends_with(&format!("01000000{GOLDEN_HEX}")));
+        let back: SnapshotImage<String> = decode_snapshot(&buf).unwrap();
         assert_eq!(back.cost.c_vr(), 1.0);
         assert_eq!(back.cost.c_qr(), 2.0);
         assert_eq!(back.capacity, Some(128));
         assert_eq!(back.rng_words, image.rng_words);
         assert_eq!(back.keys, image.keys);
-        // Truncated and trailing payloads are rejected.
-        assert!(decode_snapshot::<u64>(&buf[..buf.len() - 1]).is_err());
         let mut extra = buf.clone();
         extra.push(0);
-        assert!(decode_snapshot::<u64>(&extra).is_err());
+        assert!(matches!(decode_snapshot::<String>(&extra), Err(StoreError::Spool(_))));
+    }
+
+    /// Every prefix and every single-byte flip of `bytes`: `decode` must
+    /// return a value or `StoreError::Spool`, never panic; every strict
+    /// prefix must be an error.
+    fn sweep<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, StoreError>) {
+        for cut in 0..bytes.len() {
+            assert!(matches!(decode(&bytes[..cut]), Err(StoreError::Spool(_))), "cut={cut}");
+        }
+        let mut flipped = bytes.to_vec();
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[i] ^= mask;
+                if let Err(e) = decode(&flipped) {
+                    assert!(matches!(e, StoreError::Spool(_)), "byte {i} ^ {mask:#x}: {e}");
+                }
+                flipped[i] ^= mask;
+            }
+        }
     }
 
     #[test]
-    fn store_spool_logs_through_the_key_encoder() {
-        let (mut ss, _) = StoreSpool::<String>::open(
-            Box::new(MemIo::new()),
-            "d",
-            SpoolConfig::default(),
-            <String as SpoolKey>::encode_key,
-            encode_snapshot::<String>,
-        )
-        .unwrap();
-        ss.log_write(&"k".to_string(), 1.0, 10).unwrap();
-        ss.log_insert(&"k2".to_string(), 2.0, None, 11).unwrap();
-        ss.log_widen(&"k".to_string(), 5.0, 12).unwrap();
-        let io = ss.into_io();
-        let (_, rec) = Spool::open(io, "d", SpoolConfig::default()).unwrap();
-        let muts: Vec<Mutation<String>> =
-            rec.records.iter().map(|r| decode_mutation(r).unwrap()).collect();
-        assert_eq!(muts.len(), 3);
-        assert!(matches!(muts[0], Mutation::Write { .. }));
-        assert!(matches!(muts[1], Mutation::Insert { .. }));
-        assert!(matches!(muts[2], Mutation::Widen { .. }));
+    fn damaged_snapshots_and_records_are_errors_never_panics() {
+        let mut image = Vec::new();
+        encode_snapshot(&golden_image(), &mut image);
+        sweep(&image, decode_snapshot::<String>);
+        for (record, _) in one_record_of_each_kind() {
+            sweep(&record.payload, |payload| {
+                decode_mutation::<String>(&Record { kind: record.kind, payload: payload.to_vec() })
+            });
+        }
+    }
+
+    #[test]
+    fn forged_snapshot_key_count_fails_before_allocating() {
+        let mut image = Vec::new();
+        encode_snapshot(&golden_image(), &mut image);
+        // The count sits just before the one 206-byte state. Six states
+        // need at least 6 × 36 bytes; checked at one byte per element the
+        // count would pass and size a `Vec` for six states.
+        let count_at = image.len() - GOLDEN_HEX.len() / 2 - 4;
+        image[count_at..count_at + 4].copy_from_slice(&6u32.to_le_bytes());
+        let err = decode_snapshot::<String>(&image).unwrap_err();
+        assert!(err.to_string().contains("needed 216 more byte(s), had 206"), "{err}");
     }
 }

@@ -6,17 +6,19 @@ use std::hash::Hash;
 use apcache_core::cache::Cache;
 use apcache_core::cost::CostModel;
 use apcache_core::error::ProtocolError;
+use apcache_core::policy::ApproxSpec;
 use apcache_core::source::{Refresh, Source};
 use apcache_core::{CacheId, Interval, Key, Rng, TimeMs};
 use apcache_queries::{evaluate, evaluate_relative, AggregateKind, ItemBound, PrecisionConstraint};
 use apcache_spool::{SpoolConfig, SpoolIo, StdFsIo};
 
+use crate::codec::KeyCodec;
 use crate::constraint::Constraint;
 use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
 use crate::migrate::KeyState;
 use crate::policy::{InitialWidth, PolicySpec};
-use crate::spool::{self as spool_codec, Mutation, SnapshotImage, SpoolKey, StoreSpool};
+use crate::spool::{self as spool_codec, Mutation, SnapshotImage, StoreSpool};
 
 /// The store's single logical cache in the refresh protocol.
 const STORE_CACHE: CacheId = CacheId(0);
@@ -143,7 +145,7 @@ pub struct StoreBuilder<K> {
 
 /// Spool attachment captured at `with_spool` time: the directory, tuning,
 /// and the key/snapshot encoders as plain `fn` pointers so the builder
-/// (and store) stay `Debug + Clone + Send` without a `SpoolKey` bound on
+/// (and store) stay `Debug + Clone + Send` without a `KeyCodec` bound on
 /// every impl.
 #[derive(Debug, Clone)]
 struct SpoolSetup<K> {
@@ -243,7 +245,7 @@ impl<K: Hash + Ord + Clone> StoreBuilder<K> {
     /// instead.
     pub fn with_spool(self, dir: impl Into<String>) -> Self
     where
-        K: SpoolKey,
+        K: KeyCodec,
     {
         self.with_spool_config(dir, SpoolConfig::default())
     }
@@ -252,7 +254,7 @@ impl<K: Hash + Ord + Clone> StoreBuilder<K> {
     /// size / fsync tuning.
     pub fn with_spool_config(mut self, dir: impl Into<String>, cfg: SpoolConfig) -> Self
     where
-        K: SpoolKey,
+        K: KeyCodec,
     {
         self.spool = Some(SpoolSetup {
             dir: dir.into(),
@@ -703,10 +705,26 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
     /// so on a κ-bounded store it may evict a wider resident — exactly as
     /// if the key had refreshed here.
     ///
+    /// The state may have been decoded from a peer's `ImportKeys` frame or
+    /// a snapshot file, so the paper's one invariant is checked before
+    /// anything is installed: a `Constant` approximation — registered or
+    /// cached, and every policy of the paper proper emits only those —
+    /// that does not contain the value is rejected with
+    /// [`StoreError::Config`]. `Growing`/`Drifting` specs move with a
+    /// clock this call is not given and are installed unchecked.
+    ///
     /// [`export_key`]: PrecisionStore::export_key
     pub fn import_key(&mut self, state: KeyState<K>) -> Result<(), StoreError> {
         if self.index.contains_key(&state.key) {
             return Err(StoreError::DuplicateKey);
+        }
+        let cached_spec = state.cached.as_ref().map(|(spec, _)| spec);
+        for spec in std::iter::once(&state.source_spec).chain(cached_spec) {
+            if matches!(spec, ApproxSpec::Constant(iv) if !iv.contains(state.value)) {
+                return Err(StoreError::Config(
+                    "imported approximation does not contain the key's value".into(),
+                ));
+            }
         }
         let id = u32::try_from(self.keys.len())
             .map_err(|_| StoreError::Config("store key space exhausted (u32 ids)".into()))?;
@@ -904,7 +922,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
     }
 }
 
-impl<K: SpoolKey + Hash + Ord + Clone> PrecisionStore<K> {
+impl<K: KeyCodec + Hash + Ord + Clone> PrecisionStore<K> {
     /// Attach a spool through a caller-supplied [`SpoolIo`] (the
     /// fault-injecting `MemIo` in tests; [`StdFsIo`] via
     /// [`StoreBuilder::with_spool`] in production). Claims `dir` for a
@@ -1298,6 +1316,56 @@ mod tests {
         // Source-side width is still the policy's 10 → next QR shrinks to 5.
         dst.read(&"a", Constraint::Absolute(5.0), 1_000).unwrap();
         assert_eq!(dst.internal_width(&"a"), Some(5.0));
+    }
+
+    #[test]
+    fn import_rejects_an_approximation_that_excludes_the_value() {
+        let mut src = store();
+        // Value 100, registered [95, 105], cached — a lapsed lease — [85, 115].
+        src.widen_cached(&"a", 30.0, 0).unwrap().unwrap();
+        let honest = src.export_key(&"a").unwrap();
+        let forged = ApproxSpec::Constant(Interval::new(0.0, 1.0).unwrap());
+        let mut dst: PrecisionStore<&'static str> =
+            StoreBuilder::new().initial_width(InitialWidth::Fixed(10.0)).build().unwrap();
+        for (source_spec, cached) in
+            [(forged, honest.cached), (honest.source_spec, Some((forged, 1.0)))]
+        {
+            let state = KeyState { source_spec, cached, ..honest.clone() };
+            assert!(matches!(dst.import_key(state), Err(StoreError::Config(_))));
+            assert!(dst.is_empty() && dst.cached_interval(&"a", 0).is_none());
+            assert!(dst.metrics().for_key(&"a").is_none());
+        }
+        // The two specs disagreeing is fine while both hold the value.
+        dst.import_key(honest).unwrap();
+        let r = dst.read(&"a", Constraint::Absolute(30.0), 0).unwrap();
+        assert!(!r.refreshed && r.answer.contains(100.0));
+    }
+
+    #[test]
+    fn recovery_refuses_a_snapshot_whose_interval_excludes_the_value() {
+        use apcache_spool::{MemIo, Spool};
+
+        let recover_from = |image: &SnapshotImage<String>| {
+            let mut bytes = Vec::new();
+            spool_codec::encode_snapshot(image, &mut bytes);
+            let io: Box<dyn SpoolIo> = Box::new(MemIo::new());
+            let (mut spool, _) = Spool::open(io, "spool", SpoolConfig::default()).unwrap();
+            spool.snapshot(&bytes).unwrap();
+            PrecisionStore::<String>::recover_with_io(
+                spool.into_io(),
+                "spool",
+                SpoolConfig::default(),
+            )
+        };
+        let store: PrecisionStore<String> = StoreBuilder::new()
+            .initial_width(InitialWidth::Fixed(10.0))
+            .source("a".to_string(), 100.0)
+            .build()
+            .unwrap();
+        let mut image = store.snapshot_image();
+        assert_eq!(recover_from(&image).unwrap().value(&"a".to_string()), Some(100.0));
+        image.keys[0].cached = Some((ApproxSpec::Constant(Interval::new(0.0, 1.0).unwrap()), 1.0));
+        assert!(matches!(recover_from(&image), Err(StoreError::Config(_))));
     }
 
     #[test]

@@ -30,9 +30,8 @@ use std::marker::PhantomData;
 use apcache_core::{Interval, TimeMs};
 use apcache_push::{LeaseConfig, PushEvent, PushFilter, PushReport};
 use apcache_queries::AggregateKind;
-use apcache_store::{Constraint, KeyState, ReadResult, StoreMetrics, WriteOutcome};
+use apcache_store::{Constraint, KeyCodec, KeyState, ReadResult, StoreMetrics, WriteOutcome};
 
-use crate::codec::WireKey;
 use crate::error::{RemoteError, WireError};
 use crate::message::{decode_frame, frame_to_vec, WireMessage, WireRequest, WireResponse};
 use crate::transport::Transport;
@@ -92,7 +91,7 @@ enum SubState {
     Closing,
 }
 
-impl<K: WireKey + Ord + Clone, T: Transport> RemoteStoreClient<K, T> {
+impl<K: KeyCodec + Ord + Clone, T: Transport> RemoteStoreClient<K, T> {
     /// Wrap a connected transport with the [`DEFAULT_WINDOW`].
     pub fn new(transport: T) -> Self {
         Self::with_window(transport, DEFAULT_WINDOW)
@@ -709,7 +708,7 @@ fn remote_store_err(e: RemoteError) -> apcache_store::StoreError {
 /// keys between all of them via the v3 export/import frames.
 impl<K, T> apcache_shard::ShardBackend<K> for RemoteStoreClient<K, T>
 where
-    K: WireKey + Ord + Clone,
+    K: KeyCodec + Ord + Clone,
     T: Transport,
 {
     fn read(

@@ -4,6 +4,7 @@
 use std::fmt;
 
 use apcache_runtime::RuntimeError;
+use apcache_store::codec::DecodeError;
 use apcache_store::StoreError;
 
 /// Errors raised while encoding, decoding, or transporting frames.
@@ -101,6 +102,22 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The shared codec's decode failures surface as the same-named
+/// variants, so callers match on [`WireError`] alone.
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { needed, available } => {
+                WireError::Truncated { needed, available }
+            }
+            DecodeError::TrailingBytes { count } => WireError::TrailingBytes { count },
+            DecodeError::UnknownTag { context, tag } => WireError::UnknownTag { context, tag },
+            DecodeError::InvalidPayload(what) => WireError::InvalidPayload(what),
+            DecodeError::InvalidUtf8 => WireError::InvalidUtf8,
+        }
+    }
+}
 
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {

@@ -21,8 +21,10 @@
 //!   fixed-width little-endian integers, `f64`s as raw IEEE-754 bits, so
 //!   `decode(encode(x)) == x` bit-for-bit and precision metadata travels
 //!   at near-zero cost;
-//! * [`codec`] — the bounds-checked reader/writer primitives and the
-//!   [`WireKey`] trait that carries generic application keys;
+//! * [`apcache_store::codec`] — not this crate's: the reader/writer
+//!   primitives, the [`KeyCodec`] trait that carries generic application
+//!   keys, and the [`KeyState`](apcache_store::KeyState) layout are the
+//!   ones the durable spool writes to disk, defined once in the store;
 //! * [`transport`] — the [`Transport`] trait with an in-process
 //!   [`loopback`] pair (paired byte queues, for tests and benches) and a
 //!   [`TcpTransport`] over real sockets;
@@ -93,20 +95,19 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod codec;
 pub mod error;
 pub mod message;
 pub mod pool;
 pub mod server;
 pub mod transport;
 
+pub use apcache_store::KeyCodec;
 pub use client::{RemoteAggregateOutcome, RemoteStoreClient, Ticket, DEFAULT_WINDOW};
-pub use codec::WireKey;
 pub use error::{FaultKind, RemoteError, WireError, WireFault};
 pub use message::{
-    decode_frame, decode_message, encode_frame, encode_frame_v1, encode_framed, encode_message,
-    encode_to_vec, encode_versioned, frame_to_vec, versioned_to_vec, DecodedFrame, WireExact,
-    WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION, VERSION_V1, VERSION_V2,
+    decode_frame, decode_message, encode_framed, encode_to_vec, frame_to_vec, versioned_to_vec,
+    DecodedFrame, WireExact, WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION,
+    VERSION_V1, VERSION_V2,
 };
 pub use pool::{ClientPool, PooledClient};
 pub use server::{requires_v3, v3_fault, ServerExit, StoreServer};

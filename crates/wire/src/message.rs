@@ -30,19 +30,22 @@
 //! release) still **decode**: a v1 frame reads as request id 0, and
 //! [`decode_frame`] reports the version it saw so a server can answer a
 //! v1 or v2 peer in kind. Encoding is hand-rolled fixed-width
-//! little-endian (see [`codec`](crate::codec)) so
+//! little-endian (the primitives and the [`KeyState`] layout are
+//! [`apcache_store::codec`]'s, shared with the durable spool) so
 //! `decode(encode(x)) == x` bit-for-bit, and decoding is defensive:
 //! arbitrary bytes produce a [`WireError`], never a panic.
 
-use apcache_core::policy::{ApproxSpec, GrowthLaw, Weighting};
+use apcache_core::policy::ApproxSpec;
 use apcache_core::{ExactResponse, Interval, Key, Refresh, TimeMs};
 use apcache_push::{FallbackWidth, LeaseConfig, PushEvent, PushFilter, PushReason, PushReport};
 use apcache_queries::AggregateKind;
-use apcache_store::{
-    Answer, Constraint, KeyMetrics, KeyState, PolicySpec, ReadResult, StoreMetrics, WriteOutcome,
+use apcache_store::codec::{
+    put_bool, put_f64, put_interval, put_key_metrics, put_key_states, put_seq, put_spec, put_str,
+    put_u64, put_u8, read_interval, read_key_metrics, read_key_states, read_spec, KeyCodec, Reader,
+    KEY_METRICS_BYTES,
 };
+use apcache_store::{Answer, Constraint, KeyState, ReadResult, StoreMetrics, WriteOutcome};
 
-use crate::codec::{put_bool, put_f64, put_seq, put_str, put_u64, put_u8, Reader, WireKey};
 use crate::error::{FaultKind, WireError, WireFault};
 
 /// First byte of every frame body.
@@ -339,70 +342,13 @@ pub enum WireMessage<K> {
 // Field codecs.
 // ---------------------------------------------------------------------
 
-fn put_interval(buf: &mut Vec<u8>, iv: &Interval) {
-    let (lo, hi) = iv.to_bits();
-    put_u64(buf, lo);
-    put_u64(buf, hi);
-}
-
-fn read_interval(r: &mut Reader<'_>) -> Result<Interval, WireError> {
-    let lo = r.u64()?;
-    let hi = r.u64()?;
-    Interval::from_bits(lo, hi)
-        .map_err(|_| WireError::InvalidPayload("interval bounds (NaN or inverted)"))
-}
-
-fn put_spec(buf: &mut Vec<u8>, spec: &ApproxSpec) {
-    match *spec {
-        ApproxSpec::Constant(iv) => {
-            put_u8(buf, 0);
-            put_interval(buf, &iv);
-        }
-        ApproxSpec::Growing { center, base_width, coeff, exponent, t0 } => {
-            put_u8(buf, 1);
-            put_f64(buf, center);
-            put_f64(buf, base_width);
-            put_f64(buf, coeff);
-            put_f64(buf, exponent);
-            put_u64(buf, t0);
-        }
-        ApproxSpec::Drifting { lo0, hi0, rate_per_sec, t0 } => {
-            put_u8(buf, 2);
-            put_f64(buf, lo0);
-            put_f64(buf, hi0);
-            put_f64(buf, rate_per_sec);
-            put_u64(buf, t0);
-        }
-    }
-}
-
-fn read_spec(r: &mut Reader<'_>) -> Result<ApproxSpec, WireError> {
-    match r.u8()? {
-        0 => Ok(ApproxSpec::Constant(read_interval(r)?)),
-        1 => Ok(ApproxSpec::Growing {
-            center: r.f64()?,
-            base_width: r.f64()?,
-            coeff: r.f64()?,
-            exponent: r.f64()?,
-            t0: r.u64()?,
-        }),
-        2 => Ok(ApproxSpec::Drifting {
-            lo0: r.f64()?,
-            hi0: r.f64()?,
-            rate_per_sec: r.f64()?,
-            t0: r.u64()?,
-        }),
-        tag => Err(WireError::UnknownTag { context: "approximation spec", tag }),
-    }
-}
-
-fn put_refresh<K: WireKey>(buf: &mut Vec<u8>, refresh: &WireRefresh<K>) {
+fn put_refresh<K: KeyCodec>(buf: &mut Vec<u8>, refresh: &WireRefresh<K>) {
     refresh.key.encode_key(buf);
     put_spec(buf, &refresh.spec);
     put_f64(buf, refresh.internal_width);
 }
 
-fn read_refresh<K: WireKey>(r: &mut Reader<'_>) -> Result<WireRefresh<K>, WireError> {
+fn read_refresh<K: KeyCodec>(r: &mut Reader<'_>) -> Result<WireRefresh<K>, WireError> {
     Ok(WireRefresh { key: K::decode_key(r)?, spec: read_spec(r)?, internal_width: r.f64()? })
 }
 
@@ -514,32 +460,7 @@ fn read_answer(r: &mut Reader<'_>) -> Result<Answer, WireError> {
     }
 }
 
-fn put_key_metrics(buf: &mut Vec<u8>, m: &KeyMetrics) {
-    put_u64(buf, m.reads);
-    put_u64(buf, m.cache_hits);
-    put_u64(buf, m.writes);
-    put_u64(buf, m.vr_count);
-    put_u64(buf, m.qr_count);
-    put_f64(buf, m.vr_cost);
-    put_f64(buf, m.qr_cost);
-}
-
-fn read_key_metrics(r: &mut Reader<'_>) -> Result<KeyMetrics, WireError> {
-    Ok(KeyMetrics {
-        reads: r.u64()?,
-        cache_hits: r.u64()?,
-        writes: r.u64()?,
-        vr_count: r.u64()?,
-        qr_count: r.u64()?,
-        vr_cost: r.f64()?,
-        qr_cost: r.f64()?,
-    })
-}
-
-/// One `KeyMetrics` on the wire: 5 × u64 counters + 2 × f64 costs.
-const KEY_METRICS_BYTES: usize = 7 * 8;
-
-fn put_store_metrics<K: WireKey + Ord + Clone>(buf: &mut Vec<u8>, m: &StoreMetrics<K>) {
+fn put_store_metrics<K: KeyCodec + Ord + Clone>(buf: &mut Vec<u8>, m: &StoreMetrics<K>) {
     put_key_metrics(buf, m.totals());
     put_seq(buf, m.iter().count());
     for (key, km) in m.iter() {
@@ -548,7 +469,7 @@ fn put_store_metrics<K: WireKey + Ord + Clone>(buf: &mut Vec<u8>, m: &StoreMetri
     }
 }
 
-fn read_store_metrics<K: WireKey + Ord + Clone>(
+fn read_store_metrics<K: KeyCodec + Ord + Clone>(
     r: &mut Reader<'_>,
 ) -> Result<StoreMetrics<K>, WireError> {
     let totals = read_key_metrics(r)?;
@@ -570,14 +491,14 @@ fn read_fault(r: &mut Reader<'_>) -> Result<WireFault, WireError> {
     Ok(WireFault { kind: FaultKind::from_tag(r.u8()?)?, detail: r.str()? })
 }
 
-fn put_keys<K: WireKey>(buf: &mut Vec<u8>, keys: &[K]) {
+fn put_keys<K: KeyCodec>(buf: &mut Vec<u8>, keys: &[K]) {
     put_seq(buf, keys.len());
     for key in keys {
         key.encode_key(buf);
     }
 }
 
-fn read_keys<K: WireKey>(r: &mut Reader<'_>) -> Result<Vec<K>, WireError> {
+fn read_keys<K: KeyCodec>(r: &mut Reader<'_>) -> Result<Vec<K>, WireError> {
     let n = r.seq(K::MIN_ENCODED_BYTES)?;
     let mut keys = Vec::with_capacity(n);
     for _ in 0..n {
@@ -636,180 +557,14 @@ fn read_push_report(r: &mut Reader<'_>) -> Result<PushReport, WireError> {
     })
 }
 
-fn put_policy_spec(buf: &mut Vec<u8>, spec: &PolicySpec) {
-    match *spec {
-        PolicySpec::Adaptive => put_u8(buf, 0),
-        PolicySpec::Uncentered => put_u8(buf, 1),
-        PolicySpec::TimeVarying(law) => {
-            put_u8(buf, 2);
-            put_f64(buf, law.coeff());
-            put_f64(buf, law.exponent());
-        }
-        PolicySpec::Drifting { rate_per_sec } => {
-            put_u8(buf, 3);
-            put_f64(buf, rate_per_sec);
-        }
-        PolicySpec::History { r, weighting } => {
-            put_u8(buf, 4);
-            put_u64(buf, r as u64);
-            match weighting {
-                Weighting::Uniform => put_u8(buf, 0),
-                Weighting::Exponential { decay } => {
-                    put_u8(buf, 1);
-                    put_f64(buf, decay);
-                }
-            }
-        }
-        PolicySpec::Fixed { width } => {
-            put_u8(buf, 5);
-            put_f64(buf, width);
-        }
-        PolicySpec::StaleCounter => put_u8(buf, 6),
-    }
-}
-
-fn read_policy_spec(r: &mut Reader<'_>) -> Result<PolicySpec, WireError> {
-    Ok(match r.u8()? {
-        0 => PolicySpec::Adaptive,
-        1 => PolicySpec::Uncentered,
-        2 => {
-            let (coeff, exponent) = (r.f64()?, r.f64()?);
-            PolicySpec::TimeVarying(
-                GrowthLaw::new(coeff, exponent)
-                    .map_err(|_| WireError::InvalidPayload("growth law constants"))?,
-            )
-        }
-        3 => PolicySpec::Drifting { rate_per_sec: r.f64()? },
-        4 => {
-            let window = usize::try_from(r.u64()?)
-                .map_err(|_| WireError::InvalidPayload("history window overflows usize"))?;
-            let weighting = match r.u8()? {
-                0 => Weighting::Uniform,
-                1 => {
-                    let decay = r.f64()?;
-                    if !(decay.is_finite() && 0.0 < decay && decay < 1.0) {
-                        return Err(WireError::InvalidPayload("history decay outside (0, 1)"));
-                    }
-                    Weighting::Exponential { decay }
-                }
-                tag => return Err(WireError::UnknownTag { context: "history weighting", tag }),
-            };
-            PolicySpec::History { r: window, weighting }
-        }
-        5 => PolicySpec::Fixed { width: r.f64()? },
-        6 => PolicySpec::StaleCounter,
-        tag => return Err(WireError::UnknownTag { context: "policy spec", tag }),
-    })
-}
-
-fn put_key_state<K: WireKey>(buf: &mut Vec<u8>, state: &KeyState<K>) {
-    state.key.encode_key(buf);
-    put_f64(buf, state.value);
-    put_policy_spec(buf, &state.spec);
-    put_seq(buf, state.policy_state.len());
-    for word in &state.policy_state {
-        put_f64(buf, *word);
-    }
-    put_spec(buf, &state.source_spec);
-    match &state.cached {
-        None => put_u8(buf, 0),
-        Some((spec, internal_width)) => {
-            put_u8(buf, 1);
-            put_spec(buf, spec);
-            put_f64(buf, *internal_width);
-        }
-    }
-    match &state.metrics {
-        None => put_u8(buf, 0),
-        Some(metrics) => {
-            put_u8(buf, 1);
-            put_key_metrics(buf, metrics);
-        }
-    }
-}
-
-fn read_key_state<K: WireKey>(r: &mut Reader<'_>) -> Result<KeyState<K>, WireError> {
-    let key = K::decode_key(r)?;
-    let value = r.f64()?;
-    let spec = read_policy_spec(r)?;
-    let n = r.seq(8)?;
-    let mut policy_state = Vec::with_capacity(n);
-    for _ in 0..n {
-        policy_state.push(r.f64()?);
-    }
-    let source_spec = read_spec(r)?;
-    let cached = match r.u8()? {
-        0 => None,
-        1 => Some((read_spec(r)?, r.f64()?)),
-        tag => return Err(WireError::UnknownTag { context: "cache residency", tag }),
-    };
-    let metrics = match r.u8()? {
-        0 => None,
-        1 => Some(read_key_metrics(r)?),
-        tag => return Err(WireError::UnknownTag { context: "key metrics option", tag }),
-    };
-    Ok(KeyState { key, value, spec, policy_state, source_spec, cached, metrics })
-}
-
-/// Smallest possible [`KeyState`] on the wire, for sequence-count
-/// validation: key + value + spec tag + empty state seq + smallest
-/// source spec (Constant = tag + interval) + two `None` option tags.
-const fn min_key_state_bytes(min_key: usize) -> usize {
-    min_key + 8 + 1 + 4 + (1 + 16) + 1 + 1
-}
-
-fn put_key_states<K: WireKey>(buf: &mut Vec<u8>, states: &[KeyState<K>]) {
-    put_seq(buf, states.len());
-    for state in states {
-        put_key_state(buf, state);
-    }
-}
-
-fn read_key_states<K: WireKey>(r: &mut Reader<'_>) -> Result<Vec<KeyState<K>>, WireError> {
-    let n = r.seq(min_key_state_bytes(K::MIN_ENCODED_BYTES))?;
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
-        states.push(read_key_state(r)?);
-    }
-    Ok(states)
-}
-
 // ---------------------------------------------------------------------
 // Frame codecs.
 // ---------------------------------------------------------------------
 
-/// Encode `msg` as one current-version frame body
-/// (magic ∥ version ∥ tag ∥ request_id ∥ fields), appended to `buf`. The
-/// transport adds the length prefix. `request_id` correlates a response
-/// with its request across a pipelined connection — and routes a push
-/// frame to its subscription; un-pipelined callers use 0.
-pub fn encode_frame<K: WireKey + Ord + Clone>(
-    request_id: u64,
-    msg: &WireMessage<K>,
-    buf: &mut Vec<u8>,
-) {
-    encode_with_version(VERSION, request_id, msg, buf);
-}
-
-/// Encode `msg` as a *version 1* frame body (no request-id field) — for
-/// answering peers that spoke v1, and for the compatibility tests.
-pub fn encode_frame_v1<K: WireKey + Ord + Clone>(msg: &WireMessage<K>, buf: &mut Vec<u8>) {
-    encode_with_version(VERSION_V1, 0, msg, buf);
-}
-
-/// Encode one frame at the requested `version`. The id is written for
-/// v2 and later (v1 frames have no slot for it).
-pub fn encode_versioned<K: WireKey + Ord + Clone>(
-    version: u8,
-    request_id: u64,
-    msg: &WireMessage<K>,
-    buf: &mut Vec<u8>,
-) {
-    encode_with_version(version, request_id, msg, buf);
-}
-
-/// Convenience: one frame at `version` into a fresh buffer.
-pub fn versioned_to_vec<K: WireKey + Ord + Clone>(
+/// One frame body at `version` in a fresh buffer. The request id is
+/// written for v2 and later (v1 frames have no slot for it); the
+/// transport adds the length prefix.
+pub fn versioned_to_vec<K: KeyCodec + Ord + Clone>(
     version: u8,
     request_id: u64,
     msg: &WireMessage<K>,
@@ -820,10 +575,8 @@ pub fn versioned_to_vec<K: WireKey + Ord + Clone>(
 }
 
 /// Convenience: encode a current-version frame into a fresh buffer.
-pub fn frame_to_vec<K: WireKey + Ord + Clone>(request_id: u64, msg: &WireMessage<K>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(request_id, msg, &mut buf);
-    buf
+pub fn frame_to_vec<K: KeyCodec + Ord + Clone>(request_id: u64, msg: &WireMessage<K>) -> Vec<u8> {
+    versioned_to_vec(VERSION, request_id, msg)
 }
 
 /// Encode one *length-prefixed* frame at `version` directly into a
@@ -833,7 +586,7 @@ pub fn frame_to_vec<K: WireKey + Ord + Clone>(request_id: u64, msg: &WireMessage
 /// first and backfilled after the body lands, so encoding is a single
 /// pass with no intermediate `Vec` per frame. Returns the number of
 /// bytes appended (prefix + body).
-pub fn encode_framed<K: WireKey + Ord + Clone>(
+pub fn encode_framed<K: KeyCodec + Ord + Clone>(
     version: u8,
     request_id: u64,
     msg: &WireMessage<K>,
@@ -848,7 +601,7 @@ pub fn encode_framed<K: WireKey + Ord + Clone>(
     body_len + 4
 }
 
-fn encode_with_version<K: WireKey + Ord + Clone>(
+fn encode_with_version<K: KeyCodec + Ord + Clone>(
     version: u8,
     request_id: u64,
     msg: &WireMessage<K>,
@@ -1007,14 +760,8 @@ fn encode_with_version<K: WireKey + Ord + Clone>(
     }
 }
 
-/// Encode `msg` as one frame body with request id 0 — the un-pipelined
-/// convenience form (push frames, tests, benches).
-pub fn encode_message<K: WireKey + Ord + Clone>(msg: &WireMessage<K>, buf: &mut Vec<u8>) {
-    encode_frame(0, msg, buf);
-}
-
 /// Convenience: encode (request id 0) into a fresh buffer.
-pub fn encode_to_vec<K: WireKey + Ord + Clone>(msg: &WireMessage<K>) -> Vec<u8> {
+pub fn encode_to_vec<K: KeyCodec + Ord + Clone>(msg: &WireMessage<K>) -> Vec<u8> {
     frame_to_vec(0, msg)
 }
 
@@ -1034,16 +781,16 @@ pub struct DecodedFrame<K> {
 
 /// Decode one frame body's message, discarding the pipelining header —
 /// the v1-shaped convenience decoder (see [`decode_frame`] for the id).
-pub fn decode_message<K: WireKey + Ord + Clone>(body: &[u8]) -> Result<WireMessage<K>, WireError> {
+pub fn decode_message<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<WireMessage<K>, WireError> {
     decode_frame(body).map(|frame| frame.msg)
 }
 
-/// Decode one frame body produced by [`encode_frame`] (v3), a v2 peer,
+/// Decode one frame body produced by [`frame_to_vec`] (v3), a v2 peer,
 /// **or** the original release's v1 encoder — v1 frames carry no
 /// request id and decode as id 0. Strict: the whole input must be consumed
 /// ([`WireError::TrailingBytes`] otherwise), and any malformed input
 /// returns a [`WireError`] — never a panic.
-pub fn decode_frame<K: WireKey + Ord + Clone>(body: &[u8]) -> Result<DecodedFrame<K>, WireError> {
+pub fn decode_frame<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<DecodedFrame<K>, WireError> {
     let mut r = Reader::new(body);
     let magic = r.u8()?;
     if magic != MAGIC {
@@ -1156,8 +903,9 @@ pub fn decode_frame<K: WireKey + Ord + Clone>(body: &[u8]) -> Result<DecodedFram
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::put_u32;
     use apcache_core::policy::ApproxSpec;
+    use apcache_store::codec::put_u32;
+    use apcache_store::{KeyMetrics, PolicySpec};
 
     fn round_trip(msg: WireMessage<String>) {
         let body = encode_to_vec(&msg);
@@ -1379,8 +1127,7 @@ mod tests {
             WireMessage::Response(WireResponse::ShutdownAck),
         ];
         for msg in messages {
-            let mut v1 = Vec::new();
-            encode_frame_v1(&msg, &mut v1);
+            let v1 = versioned_to_vec(VERSION_V1, 0, &msg);
             assert_eq!(v1[1], VERSION_V1);
             let frame = decode_frame::<String>(&v1).unwrap();
             assert_eq!(frame.request_id, 0);
@@ -1568,6 +1315,34 @@ mod tests {
         ];
         round_trip(WireMessage::Request(WireRequest::ImportKeys { states: states.clone() }));
         round_trip(WireMessage::Response(WireResponse::Exported(states)));
+    }
+
+    #[test]
+    fn exported_and_import_frames_embed_the_shared_key_state_bytes_verbatim() {
+        // The literal `apcache_store::codec` pins at its definition (and
+        // the spool pins inside a snapshot image): header, verb tag and
+        // count are this crate's, every byte after them is the codec's.
+        const GOLDEN_HEX: &str = "0800000073656e736f722d39000000000000008004030000000000000001000000000000e03f030000000000000000002940000000000000f07f00000000000008c002000000000000f03f0000000000000040000000000000d03f09000000000000000101000000000000f83f000000000000f03f9a9999999999b93f000000000000e03f4d000000000000000000000000003e400104000000000000000300000000000000020000000000000001000000000000000100000000000000000000000000f83f0000000000000440";
+        let golden: Vec<u8> = (0..GOLDEN_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        let state: KeyState<String> =
+            apcache_store::codec::read_key_state(&mut Reader::new(&golden)).unwrap();
+        let mut tail = 1u32.to_le_bytes().to_vec();
+        tail.extend_from_slice(&golden);
+        for (msg, tag) in [
+            (WireMessage::Response(WireResponse::Exported(vec![state.clone()])), RESP_EXPORTED),
+            (
+                WireMessage::Request(WireRequest::ImportKeys { states: vec![state] }),
+                VERB_IMPORT_KEYS,
+            ),
+        ] {
+            let body = frame_to_vec(7, &msg);
+            assert_eq!(body[11], tag);
+            assert_eq!(body[12..], tail[..]);
+            assert_eq!(decode_message::<String>(&body).unwrap(), msg);
+        }
     }
 
     #[test]

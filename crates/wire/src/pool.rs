@@ -29,10 +29,9 @@ use std::sync::{Arc, Mutex};
 use apcache_core::{Interval, TimeMs};
 use apcache_push::{LeaseConfig, PushEvent, PushFilter};
 use apcache_queries::AggregateKind;
-use apcache_store::{Constraint, ReadResult, StoreMetrics, WriteOutcome};
+use apcache_store::{Constraint, KeyCodec, ReadResult, StoreMetrics, WriteOutcome};
 
 use crate::client::{RemoteAggregateOutcome, RemoteStoreClient, Ticket};
-use crate::codec::WireKey;
 use crate::error::{RemoteError, WireError};
 use crate::transport::Transport;
 
@@ -50,7 +49,7 @@ pub struct ClientPool<K, T> {
     next_logical: usize,
 }
 
-impl<K: WireKey + Ord + Clone, T: Transport> ClientPool<K, T> {
+impl<K: KeyCodec + Ord + Clone, T: Transport> ClientPool<K, T> {
     /// Build a pool over already-connected transports, one member per
     /// transport, each with the client's default in-flight window.
     ///
@@ -138,7 +137,7 @@ pub struct PooledClient<K, T> {
     logical_index: usize,
 }
 
-impl<K: WireKey + Ord + Clone, T: Transport> PooledClient<K, T> {
+impl<K: KeyCodec + Ord + Clone, T: Transport> PooledClient<K, T> {
     /// The member socket this handle is pinned to.
     pub fn member_index(&self) -> usize {
         self.member_index

@@ -5,9 +5,9 @@
 //! that spells the verbs — and ships outcomes back.
 
 use apcache_shard::ShardBackend;
+use apcache_store::KeyCodec;
 use apcache_telemetry::Exposition;
 
-use crate::codec::WireKey;
 use crate::error::{WireError, WireFault};
 use crate::message::{decode_frame, versioned_to_vec, WireMessage, WireRequest, WireResponse};
 use crate::transport::Transport;
@@ -99,7 +99,7 @@ impl<S> StoreServer<S> {
     /// rejected query as an answer, not a broken link.
     pub fn serve<K, T>(&mut self, transport: &mut T) -> Result<ServerExit, WireError>
     where
-        K: WireKey + Ord + Clone,
+        K: KeyCodec + Ord + Clone,
         S: ShardBackend<K>,
         T: Transport,
     {

@@ -5,7 +5,7 @@ use std::hash::Hash;
 
 use apcache::reactor::{Reactor, ReactorConfig};
 use apcache::runtime::RuntimeHandle;
-use apcache::wire::{loopback, LoopbackStream, LoopbackTransport, WireKey};
+use apcache::wire::{loopback, KeyCodec, LoopbackStream, LoopbackTransport};
 
 /// One in-process pipelined connection in front of `handle`'s runtime.
 /// Tear down in order: end the client, `join` the reactor, drain the runtime.
@@ -13,7 +13,7 @@ pub fn reactor_over_loopback<K>(
     handle: &RuntimeHandle<K>,
 ) -> (Reactor<LoopbackStream>, LoopbackTransport)
 where
-    K: WireKey + Hash + Ord + Clone + Send + Sync + 'static,
+    K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
 {
     let reactor = Reactor::launch(handle, ReactorConfig::default()).expect("reactor launches");
     let (server_end, client_end) = loopback();
