@@ -1,16 +1,11 @@
 //! Shared experiment plumbing: the canonical trace, run helpers, and the
 //! parameter conventions of Section 4.
 
-use std::hash::Hash;
-
 use apcache_core::cost::CostModel;
-use apcache_reactor::{Reactor, ReactorConfig};
-use apcache_runtime::Runtime;
 use apcache_sim::systems::{
     build_adaptive_simulation, AdaptiveSystemConfig, QuerySpec, WorkloadSpec,
 };
 use apcache_sim::{SimConfig, Stats};
-use apcache_wire::{loopback, KeyCodec, LoopbackStream, LoopbackTransport};
 use apcache_workload::query::KindMix;
 use apcache_workload::trace::{TraceConfig, TraceSet};
 use apcache_workload::walk::WalkConfig;
@@ -18,28 +13,6 @@ use apcache_workload::walk::WalkConfig;
 /// The master seed every experiment derives from (change to re-randomize
 /// the whole evaluation).
 pub const MASTER_SEED: u64 = 0x5151_2001;
-
-/// Put one reactor in front of `runtime` and hand back the client ends of
-/// `conns` in-process connections it serves. Join the reactor after the
-/// clients have shut down (or hung up).
-pub fn serve_loopback<K>(
-    runtime: &Runtime<K>,
-    conns: usize,
-) -> (Reactor<LoopbackStream>, Vec<LoopbackTransport>)
-where
-    K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
-{
-    let reactor =
-        Reactor::launch(&runtime.handle(), ReactorConfig::default()).expect("reactor launches");
-    let clients = (0..conns)
-        .map(|_| {
-            let (server_end, client_end) = loopback();
-            reactor.add_connection(server_end.into_inner());
-            client_end
-        })
-        .collect();
-    (reactor, clients)
-}
 
 /// The canonical network trace of the evaluation: 50 hosts, two hours,
 /// one-minute moving averages, peak 5.2·10⁶ B/s.

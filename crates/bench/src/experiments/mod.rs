@@ -2,8 +2,8 @@
 //!
 //! Every public `run()` function returns (or prints) [`crate::Table`]s
 //! containing the series the paper plots, with the expected shape recorded
-//! in the notes. See `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! in the notes. The `[[bench]]` tables in this crate's `Cargo.toml` are
+//! the experiment index: one target per experiment module.
 
 pub mod ablations;
 pub mod common;
@@ -16,11 +16,5 @@ pub mod fig10_13;
 pub mod fig14_15;
 pub mod hierarchy;
 pub mod max_queries;
-pub mod pipelined;
-pub mod push;
-pub mod reactor;
-pub mod runtime;
 pub mod sensitivity;
 pub mod sharded;
-pub mod spool;
-pub mod telemetry;

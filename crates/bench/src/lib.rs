@@ -7,8 +7,10 @@
 //! *shape* (who wins, by roughly what factor, where crossovers fall) —
 //! absolute numbers are not expected to match the authors' 2001 testbed.
 //!
-//! Run everything with `cargo bench --workspace`, or a single figure with
-//! e.g. `cargo bench -p apcache-bench --bench fig06_adaptivity`.
+//! Run every figure with `cargo bench -p apcache-bench`, or a single one
+//! with e.g. `cargo bench -p apcache-bench --bench fig06_adaptivity`.
+//! Serving-stack performance is not measured here: `benchmark/run.sh`
+//! at the repository root is the one instrument for that.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

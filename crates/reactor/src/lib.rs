@@ -32,7 +32,7 @@
 //!   the last fed by ready hooks, so the in-process
 //!   [`LoopbackStream`](apcache_wire::LoopbackStream) transport drives
 //!   the reactor with **no sockets or fd limits at all** (how the 10k
-//!   connection bench runs in CI).
+//!   connection test, `tests/many_connections.rs`, runs anywhere).
 //!
 //! The only `unsafe` in the crate is the syscall shim in its private
 //! `sys` module (ten hand-declared POSIX/Linux calls; the workspace is

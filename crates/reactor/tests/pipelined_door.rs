@@ -1,7 +1,8 @@
 //! The pipelined door end to end: a windowed client against a reactor
 //! in front of a live runtime — in process over loopback streams and
 //! across real localhost TCP — covering out-of-order replies, push
-//! streams, the v3 lease/telemetry/migration verbs and their pre-v3
+//! streams and their exact fan-out at 100 and 10 000 subscriptions,
+//! the v3 lease/telemetry/migration verbs and their pre-v3
 //! fault, disconnect hygiene, listener teardown, a remote server living
 //! as one shard of a mixed ring, and a pool draining past a dead member.
 
@@ -140,6 +141,35 @@ fn pipelined_server_streams_pushes_for_subscriptions() {
     assert_eq!(client.pending_pushes(), 0);
     client.shutdown().unwrap();
     finish(reactor, &runtime, true);
+}
+
+#[test]
+fn an_escaping_write_pushes_exactly_once_to_each_of_100_and_10_000_subscriptions() {
+    for subscriptions in [100usize, 10_000] {
+        // One hot key: each write jumps ±5e12, far past any width four
+        // escapes can grow from 10, so every write escapes.
+        let store = ShardedStoreBuilder::new()
+            .shards(1)
+            .initial_width(InitialWidth::Fixed(10.0))
+            .source(0u64, 0.0)
+            .build()
+            .unwrap();
+        let runtime = Runtime::launch(store).unwrap();
+        let (reactor, client_t) = serve_loopback(&runtime);
+        let mut client: RemoteStoreClient<u64, _> = RemoteStoreClient::with_window(client_t, 64);
+        for _ in 0..subscriptions {
+            client.subscribe(&0, PushFilter::Always, 0).unwrap();
+        }
+        for (i, value) in [5e12, -5e12, 5e12, -5e12].into_iter().enumerate() {
+            client.write(&0, value, 1 + i as u64).unwrap();
+            // The actor queues every push before the write's own reply,
+            // so all of them are already decoded when `write` returns.
+            let delivered = std::iter::from_fn(|| client.poll_push()).count();
+            assert_eq!(delivered, subscriptions, "write #{i}");
+        }
+        client.shutdown().unwrap();
+        finish(reactor, &runtime, true);
+    }
 }
 
 #[test]

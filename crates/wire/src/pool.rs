@@ -13,9 +13,9 @@
 //!
 //! Pipelining is what makes the multiplexing free: each member socket
 //! carries its own in-flight window, so eight logical clients over two
-//! sockets keep up to two windows of requests in flight — the
-//! `pipelined_throughput` bench holds this at parity with one
-//! window-deep socket per client.
+//! sockets keep up to two windows of requests in flight, and
+//! `tests/pool_conformance.rs` holds their results bit-identical to
+//! one socket per client.
 //!
 //! [`ClientPool::shutdown`] extends the single-connection drain contract
 //! to the whole pool: **every** member is drained — subscriptions
