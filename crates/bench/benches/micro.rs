@@ -8,7 +8,7 @@ use std::hint::black_box;
 use apcache_core::cache::Cache;
 use apcache_core::policy::{AdaptiveParams, AdaptivePolicy, Escape, PrecisionPolicy};
 use apcache_core::source::Refresh;
-use apcache_core::{CacheId, Interval, Key, Rng};
+use apcache_core::{Interval, Key, Rng};
 use apcache_queries::{evaluate, AggregateKind, ItemBound, PrecisionConstraint};
 use apcache_sim::systems::{
     build_adaptive_simulation, AdaptiveSystemConfig, QuerySpec, WorkloadSpec,
@@ -97,7 +97,7 @@ fn bench_cache(c: &mut Criterion) {
     c.bench_function("cache/apply_refresh_full_64", |b| {
         b.iter_batched(
             || {
-                let mut cache = Cache::new(CacheId(0), 64).expect("valid");
+                let mut cache = Cache::new(64).expect("valid");
                 for i in 0..64u32 {
                     cache.apply_refresh(Refresh {
                         key: Key(i),

@@ -29,7 +29,7 @@ use crate::error::ProtocolError;
 use crate::interval::Interval;
 use crate::policy::ApproxSpec;
 use crate::source::Refresh;
-use crate::{CacheId, Key, TimeMs};
+use crate::{Key, TimeMs};
 
 /// A cached approximation plus its eviction ordering key.
 #[derive(Debug, Clone)]
@@ -105,7 +105,6 @@ enum Slots {
 /// regardless of the registered key population (see the module docs).
 #[derive(Debug)]
 pub struct Cache {
-    id: CacheId,
     capacity: usize,
     slots: Slots,
     /// Number of resident approximations (`<= capacity`).
@@ -120,7 +119,7 @@ impl Cache {
     /// Bounded caches store entries behind an id → slot indirection so
     /// their footprint is O(κ) even under eviction churn across a huge
     /// key space.
-    pub fn new(id: CacheId, capacity: usize) -> Result<Self, ProtocolError> {
+    pub fn new(capacity: usize) -> Result<Self, ProtocolError> {
         if capacity == 0 {
             return Err(ProtocolError::ZeroCapacity);
         }
@@ -129,25 +128,19 @@ impl Cache {
         } else {
             Slots::Bounded { index: HashMap::new(), entries: Vec::new(), free: Vec::new() }
         };
-        Ok(Cache { id, capacity, slots, len: 0, by_width: BTreeSet::new() })
+        Ok(Cache { capacity, slots, len: 0, by_width: BTreeSet::new() })
     }
 
     /// Create a cache that never evicts (capacity `usize::MAX`), stored
     /// densely: the whole population is expected to become resident, so
     /// the id-indexed table is the fastest and tightest layout.
-    pub fn unbounded(id: CacheId) -> Self {
+    pub fn unbounded() -> Self {
         Cache {
-            id,
             capacity: usize::MAX,
             slots: Slots::Dense(Vec::new()),
             len: 0,
             by_width: BTreeSet::new(),
         }
-    }
-
-    /// This cache's identifier.
-    pub fn id(&self) -> CacheId {
-        self.id
     }
 
     /// Configured capacity `κ`.
@@ -379,13 +372,13 @@ mod tests {
 
     #[test]
     fn capacity_validation() {
-        assert!(Cache::new(CacheId(0), 0).is_err());
-        assert!(Cache::new(CacheId(0), 1).is_ok());
+        assert!(Cache::new(0).is_err());
+        assert!(Cache::new(1).is_ok());
     }
 
     #[test]
     fn insert_and_lookup() {
-        let mut c = Cache::new(CacheId(0), 4).unwrap();
+        let mut c = Cache::new(4).unwrap();
         assert_eq!(c.apply_refresh(refresh(1, 10.0, 2.0)), AdmitOutcome::Inserted);
         assert!(c.contains(Key(1)));
         assert_eq!(c.width_at(Key(1), 0), 2.0);
@@ -396,7 +389,7 @@ mod tests {
 
     #[test]
     fn update_in_place_adjusts_width_index() {
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 0.0, 10.0));
         c.apply_refresh(refresh(2, 0.0, 5.0));
         assert_eq!(c.widest(), Some((Key(1), 10.0)));
@@ -407,7 +400,7 @@ mod tests {
 
     #[test]
     fn evicts_widest_when_full() {
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 0.0, 10.0));
         c.apply_refresh(refresh(2, 0.0, 5.0));
         // Narrower than the widest (10) → evict key 1.
@@ -419,7 +412,7 @@ mod tests {
 
     #[test]
     fn rejects_widest_newcomer() {
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 0.0, 10.0));
         c.apply_refresh(refresh(2, 0.0, 5.0));
         // As wide as the current widest → stays uncached.
@@ -434,7 +427,7 @@ mod tests {
     fn eviction_uses_internal_not_effective_width() {
         // An entry snapped to width 0 (exact) can still be the eviction
         // victim if its internal width is the largest.
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         let snapped = Refresh {
             key: Key(1),
             spec: ApproxSpec::constant_centered(0.0, 0.0), // effective: exact
@@ -447,7 +440,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let mut c = Cache::unbounded(CacheId(0));
+        let mut c = Cache::unbounded();
         for i in 0..1000 {
             assert_eq!(c.apply_refresh(refresh(i, 0.0, i as f64)), AdmitOutcome::Inserted);
         }
@@ -456,7 +449,7 @@ mod tests {
 
     #[test]
     fn remove_and_clear_keep_index_consistent() {
-        let mut c = Cache::new(CacheId(0), 4).unwrap();
+        let mut c = Cache::new(4).unwrap();
         c.apply_refresh(refresh(1, 0.0, 3.0));
         c.apply_refresh(refresh(2, 0.0, 9.0));
         let e = c.remove(Key(2)).unwrap();
@@ -470,7 +463,7 @@ mod tests {
 
     #[test]
     fn width_ties_break_by_key_deterministically() {
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 0.0, 5.0));
         c.apply_refresh(refresh(2, 0.0, 5.0));
         // Tie on width: the larger key sorts last in the BTreeSet and is
@@ -485,7 +478,7 @@ mod tests {
         // million-key scale"): a κ=8 cache churned across a ~1M-id key
         // space must keep its slot storage at O(κ), not O(largest id).
         const KAPPA: usize = 8;
-        let mut c = Cache::new(CacheId(0), KAPPA).unwrap();
+        let mut c = Cache::new(KAPPA).unwrap();
         let mut admitted = 0u64;
         for round in 0u32..2_000 {
             // Ever-increasing ids, ever-narrowing widths, so each refresh
@@ -516,14 +509,14 @@ mod tests {
         assert!(c.slot_table_len() <= KAPPA);
         // An unbounded cache keeps the dense layout (and its id-sized
         // table) — the documented trade.
-        let mut dense = Cache::unbounded(CacheId(1));
+        let mut dense = Cache::unbounded();
         dense.apply_refresh(refresh(10_000, 0.0, 1.0));
         assert_eq!(dense.slot_table_len(), 10_001);
     }
 
     #[test]
     fn bounded_iter_is_key_ordered_after_churn() {
-        let mut c = Cache::new(CacheId(0), 4).unwrap();
+        let mut c = Cache::new(4).unwrap();
         for id in [70u32, 10, 50, 30, 90, 20] {
             c.apply_refresh(refresh(id, 0.0, f64::from(id)));
         }
@@ -536,7 +529,7 @@ mod tests {
 
     #[test]
     fn widen_degrades_in_place_and_reorders_eviction() {
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 10.0, 2.0));
         c.apply_refresh(refresh(2, 0.0, 5.0));
         // Narrower or equal targets are no-ops.
@@ -559,7 +552,7 @@ mod tests {
     fn evicted_entry_readmitted_when_narrower() {
         // Paper: an evicted approximation that incurs a refresh may be
         // cached again, evicting another.
-        let mut c = Cache::new(CacheId(0), 2).unwrap();
+        let mut c = Cache::new(2).unwrap();
         c.apply_refresh(refresh(1, 0.0, 10.0));
         c.apply_refresh(refresh(2, 0.0, 8.0));
         assert_eq!(c.apply_refresh(refresh(3, 0.0, 9.0)), AdmitOutcome::InsertedEvicting(Key(1)));

@@ -102,10 +102,6 @@ impl std::error::Error for ParamError {}
 /// Error interacting with protocol objects (sources and caches).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
-    /// The source has no approximation registered for the given cache.
-    NotRegistered(crate::CacheId),
-    /// An approximation is already registered for the given cache.
-    AlreadyRegistered(crate::CacheId),
     /// A non-finite exact value was supplied to a source.
     NonFiniteValue(f64),
     /// The cache capacity must be at least one entry.
@@ -115,12 +111,6 @@ pub enum ProtocolError {
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolError::NotRegistered(c) => {
-                write!(f, "no approximation registered for cache {c}")
-            }
-            ProtocolError::AlreadyRegistered(c) => {
-                write!(f, "approximation already registered for cache {c}")
-            }
             ProtocolError::NonFiniteValue(v) => {
                 write!(f, "source values must be finite, got {v}")
             }

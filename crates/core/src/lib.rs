@@ -30,7 +30,9 @@
 //! * [`cost::CostModel`] — refresh costs and the derived cost factors;
 //! * [`policy`] — the adaptive policy plus every variant evaluated in the
 //!   paper (fixed width, uncentered, time-varying, refresh-history);
-//! * [`source::Source`] / [`cache::Cache`] — the refresh protocol objects;
+//! * [`source::Source`] / [`cache::Cache`] — the refresh protocol objects:
+//!   one source per value, holding the one approximation its cache sees
+//!   and the policy that sets it;
 //! * [`model`] — the closed-form refresh-probability model of Section 3 /
 //!   Appendix A (used to regenerate Figure 2 and to cross-check the
 //!   simulator);
@@ -89,16 +91,6 @@ impl std::fmt::Display for Key {
     }
 }
 
-/// Identifier of a cache in a multi-cache deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CacheId(pub u32);
-
-impl std::fmt::Display for CacheId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
 /// Simulation / protocol time in integer milliseconds.
 ///
 /// The paper's time unit is one second; we use milliseconds so sub-second
@@ -115,7 +107,6 @@ mod tests {
     #[test]
     fn key_display() {
         assert_eq!(Key(7).to_string(), "k7");
-        assert_eq!(CacheId(2).to_string(), "c2");
     }
 
     #[test]

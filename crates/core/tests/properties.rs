@@ -9,7 +9,7 @@ use apcache_core::policy::{
     AdaptiveParams, AdaptivePolicy, ApproxSpec, Escape, PrecisionPolicy, UncenteredPolicy,
 };
 use apcache_core::source::Refresh;
-use apcache_core::{CacheId, Interval, Key, Rng};
+use apcache_core::{Interval, Key, Rng};
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     -1e12..1e12f64
@@ -179,7 +179,7 @@ proptest! {
         capacity in 1usize..16,
         refreshes in proptest::collection::vec((0u32..32, 0.0..100.0f64), 1..200),
     ) {
-        let mut cache = Cache::new(CacheId(0), capacity).unwrap();
+        let mut cache = Cache::new(capacity).unwrap();
         // Naive model: map key -> width, evicting the (widest, largest-key)
         // entry when full.
         let mut model: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();

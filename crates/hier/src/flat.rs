@@ -1,35 +1,34 @@
 //! The flat deployment the hierarchy is compared against: every leaf
-//! talks to the source directly over the full network path, using the
-//! core crate's native multi-cache sources (one registered approximation
-//! per leaf).
+//! talks to the source directly over the full network path. Each leaf is
+//! its own [`PrecisionStore`], so every leaf's approximation of a value
+//! adapts under its own policy, exactly as in the single-level paper.
 
-use apcache_core::cache::Cache;
 use apcache_core::cost::CostModel;
-use apcache_core::policy::{AdaptiveParams, AdaptivePolicy};
-use apcache_core::source::Source;
-use apcache_core::{CacheId, Interval, Key, Rng, TimeMs};
+use apcache_core::{Interval, Key, Rng, TimeMs};
 use apcache_sim::error::SimError;
 use apcache_sim::stats::Stats;
 use apcache_sim::system::{CacheSystem, QuerySummary};
+use apcache_store::{Constraint, PrecisionStore};
 use apcache_workload::query::GeneratedQuery;
 
 use crate::system::{LeafId, MultiLevelConfig};
 
-/// Flat fan-out: each of the `n_leaves` caches registers directly at the
-/// source; every refresh traverses the full path (upper + lower hop
-/// costs combined).
+/// Flat fan-out: one store per leaf, each holding every source at the
+/// full path's refresh costs (upper + lower hop combined).
 #[derive(Debug)]
 pub struct FlatFanoutSystem {
     full_path: CostModel,
-    n_leaves: usize,
-    sources: Vec<Source>,
-    leaves: Vec<Cache>,
+    leaves: Vec<PrecisionStore<Key>>,
     rng: Rng,
 }
 
 impl FlatFanoutSystem {
     /// Assemble the flat deployment from the same configuration as the
     /// hierarchy (hop costs are summed into one end-to-end cost).
+    ///
+    /// Seeding: the first `rng.fork()` is this system's own stream (leaf
+    /// choices); each leaf's store is then seeded by one more fork, in
+    /// leaf order, and its policies draw from that.
     pub fn new(
         cfg: &MultiLevelConfig,
         initial_values: &[f64],
@@ -45,21 +44,11 @@ impl FlatFanoutSystem {
             cfg.upper_cost.c_vr() + cfg.lower_cost.c_vr(),
             cfg.upper_cost.c_qr() + cfg.lower_cost.c_qr(),
         )?;
-        let params =
-            AdaptiveParams::new(&full_path, cfg.alpha)?.with_thresholds(cfg.gamma0, cfg.gamma1)?;
-        let mut leaves: Vec<Cache> =
-            (0..cfg.n_leaves).map(|l| Cache::unbounded(CacheId(l as u32))).collect();
-        let mut sources = Vec::with_capacity(initial_values.len());
-        for (i, &v) in initial_values.iter().enumerate() {
-            let mut source = Source::new(Key(i as u32), v)?;
-            for (l, leaf) in leaves.iter_mut().enumerate() {
-                let policy = AdaptivePolicy::new(params, cfg.initial_width)?;
-                let refresh = source.register(CacheId(l as u32), Box::new(policy), 0)?;
-                leaf.apply_refresh(refresh);
-            }
-            sources.push(source);
-        }
-        Ok(FlatFanoutSystem { full_path, n_leaves: cfg.n_leaves, sources, leaves, rng: rng.fork() })
+        let own = rng.fork();
+        let leaves = (0..cfg.n_leaves)
+            .map(|_| cfg.store(full_path, initial_values, rng.fork()))
+            .collect::<Result<_, _>>()?;
+        Ok(FlatFanoutSystem { full_path, leaves, rng: own })
     }
 
     /// Bounded read of `key` at `leaf`.
@@ -71,19 +60,17 @@ impl FlatFanoutSystem {
         now: TimeMs,
         stats: &mut Stats,
     ) -> Result<Interval, SimError> {
-        let li = leaf.0 as usize;
-        let ki = key.0 as usize;
-        if li >= self.n_leaves || ki >= self.sources.len() {
-            return Err(SimError::Config(format!("unknown leaf {} or {key}", leaf.0)));
+        let constraint = Constraint::Absolute(delta);
+        constraint.validate()?;
+        let store = self
+            .leaves
+            .get_mut(leaf.0 as usize)
+            .ok_or_else(|| SimError::Config(format!("unknown leaf {}", leaf.0)))?;
+        let read = store.read(&key, constraint, now)?;
+        if read.refreshed {
+            stats.record_qr(self.full_path.c_qr());
         }
-        let cached = self.leaves[li].interval_at(key, now).unwrap_or_else(Interval::unbounded);
-        if cached.width() <= delta {
-            return Ok(cached);
-        }
-        stats.record_qr(self.full_path.c_qr());
-        let resp = self.sources[ki].serve_exact(CacheId(leaf.0), now, &mut self.rng)?;
-        self.leaves[li].apply_refresh(resp.refresh);
-        Ok(Interval::point(resp.value).expect("finite value"))
+        Ok(read.answer.interval())
     }
 }
 
@@ -95,13 +82,11 @@ impl CacheSystem for FlatFanoutSystem {
         now: TimeMs,
         stats: &mut Stats,
     ) -> Result<(), SimError> {
-        let ki = key.0 as usize;
-        let source =
-            self.sources.get_mut(ki).ok_or_else(|| SimError::Config(format!("unknown {key}")))?;
         // Every escaped leaf pays the full end-to-end refresh.
-        for (cache_id, refresh) in source.apply_update(value, now, &mut self.rng)? {
-            stats.record_vr(self.full_path.c_vr());
-            self.leaves[cache_id.0 as usize].apply_refresh(refresh);
+        for store in &mut self.leaves {
+            for _ in 0..store.write(&key, value, now)?.refreshes {
+                stats.record_vr(self.full_path.c_vr());
+            }
         }
         Ok(())
     }
@@ -112,7 +97,7 @@ impl CacheSystem for FlatFanoutSystem {
         now: TimeMs,
         stats: &mut Stats,
     ) -> Result<QuerySummary, SimError> {
-        let leaf = LeafId(self.rng.below(self.n_leaves as u64) as u32);
+        let leaf = LeafId(self.rng.below(self.leaves.len() as u64) as u32);
         let before = stats.qr_count();
         let mut answer: Option<Interval> = None;
         for &key in &query.keys {
@@ -126,7 +111,7 @@ impl CacheSystem for FlatFanoutSystem {
     }
 
     fn interval_of(&self, key: Key, now: TimeMs) -> Option<Interval> {
-        self.leaves[0].interval_at(key, now)
+        self.leaves[0].cached_interval(&key, now)
     }
 }
 

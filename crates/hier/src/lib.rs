@@ -15,7 +15,8 @@
 //! **independently per hop**:
 //!
 //! * the source-side policy sets the mid-tier interval width to balance
-//!   the *upper-hop* refresh costs, exactly as in the single-level paper;
+//!   the *upper-hop* refresh costs, exactly as in the single-level paper —
+//!   the mid tier is an `apcache-store` [`PrecisionStore`] at those costs;
 //! * the mid-tier maintains one policy per leaf, setting each leaf's
 //!   interval width to balance the *lower-hop* refresh costs.
 //!
@@ -27,9 +28,12 @@
 //! (which refreshes both levels). The payoff of the hierarchy is upper-hop
 //! *sharing*: one source→mid refresh serves every leaf, whereas a flat
 //! deployment pays the full source→leaf path per leaf.
-//! [`FlatFanoutSystem`] implements that flat deployment (using the core
-//! crate's native multi-cache sources) so the benefit is measurable; the
-//! `hierarchy_multilevel` bench sweeps the leaf count.
+//! [`FlatFanoutSystem`] implements that flat deployment (one
+//! [`PrecisionStore`] per leaf at the summed full-path costs) so the
+//! benefit is measurable; the `hierarchy_multilevel` bench sweeps the leaf
+//! count.
+//!
+//! [`PrecisionStore`]: apcache_store::PrecisionStore
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,21 +1,17 @@
 //! The two-level adaptive caching system.
 
-use apcache_core::cache::Cache;
 use apcache_core::cost::CostModel;
 use apcache_core::policy::{AdaptiveParams, AdaptivePolicy, Escape, PrecisionPolicy};
-use apcache_core::source::Source;
-use apcache_core::{CacheId, Interval, Key, Rng, TimeMs};
+use apcache_core::{Interval, Key, Rng, TimeMs};
 use apcache_sim::error::SimError;
 use apcache_sim::stats::Stats;
 use apcache_sim::system::{CacheSystem, QuerySummary};
+use apcache_store::{Constraint, InitialWidth, PrecisionStore, StoreBuilder};
 use apcache_workload::query::GeneratedQuery;
 
 /// Identifier of a leaf cache in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LeafId(pub u32);
-
-/// The cache id used for the mid tier on the upper hop.
-const MID_TIER: CacheId = CacheId(0);
 
 /// Configuration of the two-level system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,6 +60,28 @@ impl MultiLevelConfig {
         }
         Ok(())
     }
+
+    /// A store over `initial_values` (keyed `Key(0)`, `Key(1)`, …) that runs
+    /// the refresh protocol at `cost` with this configuration's α, γ and
+    /// starting width, drawing its coin flips from `rng`.
+    pub(crate) fn store(
+        &self,
+        cost: CostModel,
+        initial_values: &[f64],
+        rng: Rng,
+    ) -> Result<PrecisionStore<Key>, SimError> {
+        let builder = StoreBuilder::new()
+            .cost(cost)
+            .alpha(self.alpha)
+            .thresholds(self.gamma0, self.gamma1)
+            .initial_width(InitialWidth::Fixed(self.initial_width))
+            .rng(rng);
+        let builder = initial_values
+            .iter()
+            .enumerate()
+            .fold(builder, |b, (i, &v)| b.source(Key(i as u32), v));
+        Ok(builder.build()?)
+    }
 }
 
 /// Mid-tier state for one (key, leaf) pair: the policy governing the
@@ -82,20 +100,27 @@ struct MidEntry {
 
 /// The two-level system: sources → mid-tier cache → leaf caches.
 ///
+/// The source → mid-tier hop is a [`PrecisionStore`] running the paper's
+/// refresh protocol at the upper-hop costs; the mid tier's per-leaf
+/// policies are this type's own.
+///
 /// Invariant (checked by `debug_assert` and tests): every leaf interval
 /// contains the mid-tier interval for the same key, and therefore the
 /// exact value.
 #[derive(Debug)]
 pub struct MultiLevelSystem {
     cfg: MultiLevelConfig,
-    sources: Vec<Source>,
-    mid: Cache,
+    mid: PrecisionStore<Key>,
     entries: Vec<MidEntry>,
     rng: Rng,
 }
 
 impl MultiLevelSystem {
     /// Assemble the hierarchy for the given initial values.
+    ///
+    /// Seeding: the first `rng.fork()` is this system's own stream (leaf
+    /// choices and the leaf policies' coin flips); the second seeds the
+    /// mid-tier store, whose policies draw from it.
     pub fn new(
         cfg: &MultiLevelConfig,
         initial_values: &[f64],
@@ -105,19 +130,14 @@ impl MultiLevelSystem {
         if initial_values.is_empty() {
             return Err(SimError::Config("at least one source required".into()));
         }
-        let upper_params = AdaptiveParams::new(&cfg.upper_cost, cfg.alpha)?
-            .with_thresholds(cfg.gamma0, cfg.gamma1)?;
         let lower_params = AdaptiveParams::new(&cfg.lower_cost, cfg.alpha)?
             .with_thresholds(cfg.gamma0, cfg.gamma1)?;
-        let mut mid = Cache::unbounded(MID_TIER);
-        let mut sources = Vec::with_capacity(initial_values.len());
+        let own = rng.fork();
+        let mid = cfg.store(cfg.upper_cost, initial_values, rng.fork())?;
         let mut entries = Vec::with_capacity(initial_values.len());
-        for (i, &v) in initial_values.iter().enumerate() {
-            let mut source = Source::new(Key(i as u32), v)?;
-            let policy = AdaptivePolicy::new(upper_params, cfg.initial_width)?;
-            let refresh = source.register(MID_TIER, Box::new(policy), 0)?;
-            let parent_interval = refresh.spec.interval_at(0);
-            mid.apply_refresh(refresh);
+        for i in 0..initial_values.len() {
+            let parent_interval =
+                mid.cached_interval(&Key(i as u32), 0).unwrap_or_else(Interval::unbounded);
             // Each leaf starts with the parent interval widened to its own
             // policy width (leaf intervals must contain the parent's).
             let mut leaves = Vec::with_capacity(cfg.n_leaves);
@@ -126,10 +146,9 @@ impl MultiLevelSystem {
                 let interval = derive_leaf_interval(&policy, parent_interval);
                 leaves.push(LeafApprox { policy, interval });
             }
-            sources.push(source);
             entries.push(MidEntry { leaves });
         }
-        Ok(MultiLevelSystem { cfg: *cfg, sources, mid, entries, rng: rng.fork() })
+        Ok(MultiLevelSystem { cfg: *cfg, mid, entries, rng: own })
     }
 
     /// Number of leaves.
@@ -139,7 +158,7 @@ impl MultiLevelSystem {
 
     /// The mid-tier interval for `key`.
     pub fn mid_interval(&self, key: Key, now: TimeMs) -> Option<Interval> {
-        self.mid.interval_at(key, now)
+        self.mid.cached_interval(&key, now)
     }
 
     /// The interval leaf `leaf` holds for `key`.
@@ -158,6 +177,7 @@ impl MultiLevelSystem {
         now: TimeMs,
         stats: &mut Stats,
     ) -> Result<Interval, SimError> {
+        Constraint::Absolute(delta).validate()?;
         let ki = key.0 as usize;
         let li = leaf.0 as usize;
         {
@@ -174,7 +194,7 @@ impl MultiLevelSystem {
         }
         // Lower-hop query-initiated refresh: ask the mid tier.
         stats.record_qr(self.cfg.lower_cost.c_qr());
-        let parent = self.mid.interval_at(key, now).unwrap_or_else(Interval::unbounded);
+        let parent = self.mid_interval(key, now).unwrap_or_else(Interval::unbounded);
         if parent.width() <= delta {
             // The mid tier can serve the request from its own interval.
             let entry = &mut self.entries[ki];
@@ -186,15 +206,14 @@ impl MultiLevelSystem {
         }
         // Escalate: upper-hop query-initiated refresh to the source.
         stats.record_qr(self.cfg.upper_cost.c_qr());
-        let response = self.sources[ki].serve_exact(MID_TIER, now, &mut self.rng)?;
-        let new_parent = response.refresh.spec.interval_at(now);
-        self.mid.apply_refresh(response.refresh);
+        let exact = self.mid.read(&key, Constraint::Exact, now)?.answer.interval();
+        let new_parent = self.mid_interval(key, now).unwrap_or_else(Interval::unbounded);
         {
             let approx = &mut self.entries[ki].leaves[li];
             approx.policy.on_query_refresh(&mut self.rng);
             // The leaf learns the exact value; its new interval is centered
             // on it and widened to cover the new parent interval.
-            let centered = Interval::centered(response.value, approx.policy.effective_width())
+            let centered = Interval::centered(exact.lo(), approx.policy.effective_width())
                 .unwrap_or_else(|_| Interval::unbounded());
             approx.interval = centered.hull(&new_parent);
         }
@@ -203,7 +222,7 @@ impl MultiLevelSystem {
         // refreshes so every leaf keeps covering the parent (the
         // containment invariant that guarantees leaf validity).
         self.sync_leaves(ki, Some(li), new_parent, stats);
-        Ok(Interval::point(response.value).expect("finite value"))
+        Ok(exact)
     }
 
     /// Refresh every leaf of `ki` (except `skip`) whose interval no longer
@@ -232,23 +251,18 @@ impl MultiLevelSystem {
         now: TimeMs,
         stats: &mut Stats,
     ) -> Result<(), SimError> {
-        let ki = key.0 as usize;
-        let source =
-            self.sources.get_mut(ki).ok_or_else(|| SimError::Config(format!("unknown {key}")))?;
-        let refreshes = source.apply_update(value, now, &mut self.rng)?;
-        let Some((_, refresh)) = refreshes.into_iter().next() else {
+        if !self.mid.write(&key, value, now)?.escaped() {
             // Still valid at the mid tier ⇒ still valid at every leaf
             // (leaf intervals contain the parent interval).
             return Ok(());
-        };
+        }
         // Upper-hop value-initiated refresh.
         stats.record_vr(self.cfg.upper_cost.c_vr());
-        let new_parent = refresh.spec.interval_at(now);
-        self.mid.apply_refresh(refresh);
+        let new_parent = self.mid_interval(key, now).unwrap_or_else(Interval::unbounded);
         // Lower hop: only leaves whose interval no longer covers the new
         // parent interval must be refreshed — the sharing that makes the
         // hierarchy pay off.
-        self.sync_leaves(ki, None, new_parent, stats);
+        self.sync_leaves(key.0 as usize, None, new_parent, stats);
         Ok(())
     }
 }
@@ -305,7 +319,7 @@ impl CacheSystem for MultiLevelSystem {
     }
 
     fn interval_of(&self, key: Key, now: TimeMs) -> Option<Interval> {
-        self.mid.interval_at(key, now)
+        self.mid_interval(key, now)
     }
 }
 
@@ -418,23 +432,45 @@ mod tests {
 
     #[test]
     fn containment_invariant_holds_under_churn() {
-        let mut sys = system(3);
+        assert_containment_under_churn(system(3), 500);
+    }
+
+    #[test]
+    fn containment_invariant_holds_off_theta_one() {
+        // Upper hop θ = 2·1/0.5 = 4, lower hop θ = 2·0.25/1 = 0.5: the mid
+        // tier shrinks with probability 1/4 (the store's coin) and each
+        // leaf grows with probability 1/2 (this system's coin).
+        let cfg = MultiLevelConfig {
+            upper_cost: CostModel::new(1.0, 0.5).unwrap(),
+            lower_cost: CostModel::new(0.25, 1.0).unwrap(),
+            n_leaves: 3,
+            ..MultiLevelConfig::default()
+        };
+        let sys = MultiLevelSystem::new(&cfg, &[100.0, 200.0], Rng::seed_from_u64(1)).unwrap();
+        assert_containment_under_churn(sys, 2_000);
+    }
+
+    /// Random-walk `Key(0)` for `steps` seconds with a bounded read every
+    /// third step: every answer holds the value within its tolerance, and
+    /// every leaf interval covers the mid-tier interval throughout.
+    fn assert_containment_under_churn(mut sys: MultiLevelSystem, steps: u64) {
+        let n_leaves = sys.n_leaves() as u64;
         let mut stats = measuring();
         let mut rng = Rng::seed_from_u64(9);
         let mut value = 100.0;
-        for t in 1..=500u64 {
+        for t in 1..=steps {
             value += rng.uniform(-5.0, 5.0);
             sys.on_update(Key(0), value, t * 1_000, &mut stats).unwrap();
             if t % 3 == 0 {
                 let delta = rng.uniform(0.0, 50.0);
-                let leaf = LeafId(rng.below(3) as u32);
+                let leaf = LeafId(rng.below(n_leaves) as u32);
                 let iv = sys.read_bounded(leaf, Key(0), delta, t * 1_000, &mut stats).unwrap();
                 assert!(iv.contains(value), "t={t}: {iv} misses {value}");
                 assert!(iv.width() <= delta + 1e-9);
             }
             let parent = sys.mid_interval(Key(0), t * 1_000).unwrap();
             assert!(parent.contains(value));
-            for l in 0..3u32 {
+            for l in 0..n_leaves as u32 {
                 let leaf = sys.leaf_interval(LeafId(l), Key(0)).unwrap();
                 assert!(
                     leaf_contains_parent(leaf, parent),

@@ -8,7 +8,7 @@ use apcache_core::cost::CostModel;
 use apcache_core::error::ProtocolError;
 use apcache_core::policy::ApproxSpec;
 use apcache_core::source::{Refresh, Source};
-use apcache_core::{CacheId, Interval, Key, Rng, TimeMs};
+use apcache_core::{Interval, Key, Rng, TimeMs};
 use apcache_queries::{evaluate, evaluate_relative, AggregateKind, ItemBound, PrecisionConstraint};
 use apcache_spool::{SpoolConfig, SpoolIo, StdFsIo};
 
@@ -19,9 +19,6 @@ use crate::metrics::StoreMetrics;
 use crate::migrate::KeyState;
 use crate::policy::{InitialWidth, PolicySpec};
 use crate::spool::{self as spool_codec, Mutation, SnapshotImage, StoreSpool};
-
-/// The store's single logical cache in the refresh protocol.
-const STORE_CACHE: CacheId = CacheId(0);
 
 /// An answer to a point read: the cached interval when it was precise
 /// enough, or the exact value when a refresh was needed.
@@ -269,8 +266,8 @@ impl<K: Hash + Ord + Clone> StoreBuilder<K> {
     /// approximation at time 0.
     pub fn build(self) -> Result<PrecisionStore<K>, StoreError> {
         let cache = match self.capacity {
-            Some(k) => Cache::new(STORE_CACHE, k)?,
-            None => Cache::unbounded(STORE_CACHE),
+            Some(k) => Cache::new(k)?,
+            None => Cache::unbounded(),
         };
         let mut store = PrecisionStore {
             cost: self.cost,
@@ -367,8 +364,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
             self.gamma1,
             self.initial_width.for_value(value),
         )?;
-        let mut source = Source::new(Key(id), value)?;
-        let refresh = source.register(STORE_CACHE, policy, now)?;
+        let (source, refresh) = Source::new(Key(id), value, policy, now)?;
         self.cache.apply_refresh(refresh);
         self.sources.push(source);
         self.specs.push(spec);
@@ -420,7 +416,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
             self.metrics.record_read(key, true);
             return Ok(ReadResult { answer: Answer::Interval(interval), refreshed: false });
         }
-        let response = self.sources[id as usize].serve_exact(STORE_CACHE, now, &mut self.rng)?;
+        let response = self.sources[id as usize].serve_exact(now, &mut self.rng);
         self.cache.apply_refresh(response.refresh);
         self.metrics.record_read(key, false);
         self.metrics.record_qr(key, self.cost.c_qr());
@@ -437,15 +433,15 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
     /// grows its width (`W ← W·(1+α)` with probability `min{θ, 1}`).
     pub fn write(&mut self, key: &K, value: f64, now: TimeMs) -> Result<WriteOutcome, StoreError> {
         let id = self.id_of(key)?;
-        let refreshes = self.sources[id as usize].apply_update(value, now, &mut self.rng)?;
+        let refresh = self.sources[id as usize].apply_update(value, now, &mut self.rng)?;
         self.metrics.record_write(key);
-        let n = refreshes.len();
-        for (_, refresh) in refreshes {
+        let escaped = refresh.is_some();
+        if let Some(refresh) = refresh {
             self.metrics.record_vr(key, self.cost.c_vr());
             self.cache.apply_refresh(refresh);
         }
         self.log_write(key, value, now)?;
-        Ok(WriteOutcome { refreshes: n })
+        Ok(WriteOutcome { refreshes: usize::from(escaped) })
     }
 
     /// Apply a batch of writes in order, resolving every key in one pass.
@@ -472,10 +468,10 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
         }
         let mut total = 0;
         for (&id, (key, value)) in ids.iter().zip(items) {
-            let refreshes = self.sources[id as usize].apply_update(*value, now, &mut self.rng)?;
+            let refresh = self.sources[id as usize].apply_update(*value, now, &mut self.rng)?;
             self.metrics.record_write(key);
-            total += refreshes.len();
-            for (_, refresh) in refreshes {
+            if let Some(refresh) = refresh {
+                total += 1;
                 self.metrics.record_vr(key, self.cost.c_vr());
                 self.cache.apply_refresh(refresh);
             }
@@ -513,19 +509,11 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
         let metrics = &mut self.metrics;
         let key_names = &self.keys;
         let cost = self.cost;
-        let mut protocol_error: Option<ProtocolError> = None;
         let fetch = |k: Key| -> f64 {
-            match sources[k.0 as usize].serve_exact(STORE_CACHE, now, rng) {
-                Ok(resp) => {
-                    metrics.record_qr(&key_names[k.0 as usize], cost.c_qr());
-                    cache.apply_refresh(resp.refresh);
-                    resp.value
-                }
-                Err(e) => {
-                    protocol_error = Some(e);
-                    f64::NAN
-                }
-            }
+            let resp = sources[k.0 as usize].serve_exact(now, rng);
+            metrics.record_qr(&key_names[k.0 as usize], cost.c_qr());
+            cache.apply_refresh(resp.refresh);
+            resp.value
         };
         let outcome = match constraint {
             Constraint::Absolute(delta) => {
@@ -535,9 +523,6 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
             Constraint::Exact => evaluate(kind, PrecisionConstraint::exact(), &items, fetch),
             Constraint::Relative(frac) => evaluate_relative(kind, frac, &items, fetch),
         };
-        if let Some(e) = protocol_error {
-            return Err(e.into());
-        }
         let outcome = outcome?;
         let refreshed: Vec<K> =
             outcome.refreshed.into_iter().map(|k| self.keys[k.0 as usize].clone()).collect();
@@ -624,7 +609,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
     /// the `W ← W·(1+α)` / `W ← W/(1+α)` adaptation moves.
     pub fn internal_width(&self, key: &K) -> Option<f64> {
         let id = self.id_of(key).ok()?;
-        self.sources[id as usize].internal_width_for(STORE_CACHE)
+        Some(self.sources[id as usize].internal_width())
     }
 
     /// The source-side exact value for `key` (the server's view; reading it
@@ -649,8 +634,8 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
         let id = self.id_of(key)?;
         let idx = id as usize;
         let source = &self.sources[idx];
-        let source_spec = *source.spec_for(STORE_CACHE).ok_or(StoreError::UnknownKey)?;
-        let policy_state = source.policy_state_for(STORE_CACHE).ok_or(StoreError::UnknownKey)?;
+        let source_spec = source.spec();
+        let policy_state = source.policy_state();
         let value = source.value();
         let cached = self.cache.remove(Key(id)).map(|e| (e.spec, e.internal_width));
         let metrics = self.metrics.extract_key(key);
@@ -740,8 +725,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
                 "imported policy state does not match the key's policy spec".into(),
             ));
         }
-        let mut source = Source::new(Key(id), state.value)?;
-        source.register_snapshot(STORE_CACHE, policy, state.source_spec)?;
+        let source = Source::from_snapshot(Key(id), state.value, policy, state.source_spec)?;
         if let Some((spec, internal_width)) = state.cached {
             self.cache.apply_refresh(Refresh { key: Key(id), spec, internal_width });
         }
@@ -873,17 +857,14 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
     /// [`export_key`]: PrecisionStore::export_key
     fn key_state_of(&self, idx: usize) -> KeyState<K> {
         let source = &self.sources[idx];
-        let source_spec = *source.spec_for(STORE_CACHE).expect("every interned key is registered");
-        let policy_state =
-            source.policy_state_for(STORE_CACHE).expect("every interned key is registered");
         let cached = self.cache.get(Key(idx as u32)).map(|e| (e.spec, e.internal_width));
         let metrics = self.metrics.for_key(&self.keys[idx]).copied();
         KeyState {
             key: self.keys[idx].clone(),
             value: source.value(),
             spec: self.specs[idx],
-            policy_state,
-            source_spec,
+            policy_state: source.policy_state(),
+            source_spec: source.spec(),
             cached,
             metrics,
         }
@@ -909,8 +890,7 @@ impl<K: Hash + Ord + Clone> PrecisionStore<K> {
                 // there, so the recovered interval re-centers identically
                 // and the policy applies the same width shrink.
                 let id = self.id_of(&key)?;
-                let response =
-                    self.sources[id as usize].serve_exact(STORE_CACHE, now, &mut self.rng)?;
+                let response = self.sources[id as usize].serve_exact(now, &mut self.rng);
                 self.cache.apply_refresh(response.refresh);
                 if counted_as_read {
                     self.metrics.record_read(&key, false);
@@ -983,8 +963,8 @@ impl<K: KeyCodec + Hash + Ord + Clone> PrecisionStore<K> {
     /// attached yet; replay follows).
     fn from_image(image: SnapshotImage<K>) -> Result<Self, StoreError> {
         let cache = match image.capacity {
-            Some(k) => Cache::new(STORE_CACHE, k)?,
-            None => Cache::unbounded(STORE_CACHE),
+            Some(k) => Cache::new(k)?,
+            None => Cache::unbounded(),
         };
         let rng = Rng::from_state(image.rng_words)
             .ok_or_else(|| StoreError::Spool("invalid RNG state in snapshot".into()))?;

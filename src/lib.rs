@@ -17,11 +17,11 @@
 //! | [`workload`] | `apcache-workload` | random walks, synthetic network traffic traces, query workloads |
 //! | [`sim`] | `apcache-sim` | discrete event simulator and cost statistics |
 //! | [`baselines`] | `apcache-baselines` | WJH97 adaptive exact caching, HSW94 divergence caching, stale-value specialization |
-//! | [`hier`] | `apcache-hier` | multi-level cache hierarchies (the paper's Section 5 future work) |
+//! | [`hier`] | `apcache-hier` | multi-level cache hierarchies (the paper's Section 5 future work): a `PrecisionStore` mid tier with derived per-leaf intervals, and a flat fan-out of one store per leaf |
 //!
 //! Applications talk to [`store::PrecisionStore`]; the simulator, the
-//! baselines, and the experiment harnesses drive the same façade so there
-//! is exactly one implementation of the refresh protocol.
+//! baselines, the hierarchy, and the experiment harnesses drive the same
+//! façade so there is exactly one implementation of the refresh protocol.
 //!
 //! ## Quickstart
 //!

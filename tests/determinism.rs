@@ -2,13 +2,14 @@
 //! identical traces, workloads, refresh sequences, and statistics.
 
 use apcache::core::cost::CostModel;
-use apcache::core::Key;
+use apcache::core::{Key, Rng};
+use apcache::hier::{FlatFanoutSystem, MultiLevelConfig, MultiLevelSystem};
 use apcache::sim::systems::{
     build_adaptive_simulation, build_sharded_simulation, AdaptiveSystemConfig, QuerySpec,
     ShardedSystemConfig, WorkloadSpec,
 };
-use apcache::sim::{Report, SimConfig};
-use apcache::workload::query::KindMix;
+use apcache::sim::{CacheSystem, Report, SimConfig, Simulation};
+use apcache::workload::query::{KindMix, QueryGenerator};
 use apcache::workload::trace::{TraceConfig, TraceSet};
 use apcache::workload::walk::WalkConfig;
 
@@ -141,4 +142,59 @@ fn pinned_literals_hold_for_the_system_every_figure_runs_on() {
     assert_eq!(pinned_run(theta_4, None), (155, 651, 1922.0f64.to_bits(), w8));
     assert_eq!(pinned_run(theta_1, Some(4)), (648, 647, 1942.0f64.to_bits(), w4));
     assert_eq!(pinned_run(theta_4, Some(4)), (220, 892, 2664.0f64.to_bits(), w4));
+}
+
+/// One hierarchy run's fingerprint: `vr_count`, `qr_count` and
+/// `total_cost().to_bits()`.
+type HierPin = (u64, u64, u64);
+
+/// The `hierarchy_multilevel` scenario: eight paper-default random walks,
+/// SUM-only queries of fanout 2 with δ̄ = 20, 10 000 simulated seconds.
+fn hierarchy_run<S: CacheSystem>(system: S, seed: u64) -> HierPin {
+    const N_SOURCES: usize = 8;
+    let cfg =
+        SimConfig::builder().duration_secs(10_000).warmup_secs(1_000).seed(seed).build().unwrap();
+    let mut master = Rng::seed_from_u64(cfg.seed());
+    let workload = WorkloadSpec::random_walks(N_SOURCES, WalkConfig::paper_default());
+    let processes = workload.build_processes(&mut master).unwrap();
+    let queries = QuerySpec {
+        period_secs: 0.5,
+        fanout: 2,
+        delta_avg: 20.0,
+        delta_rho: 1.0,
+        kind_mix: KindMix::SumOnly,
+    };
+    let query_gen = QueryGenerator::new(queries, N_SOURCES, master.fork()).unwrap();
+    let stats = Simulation::new(cfg, system, processes, query_gen).unwrap().run().unwrap().stats;
+    (stats.vr_count(), stats.qr_count(), stats.total_cost().to_bits())
+}
+
+#[test]
+fn pinned_hierarchy_literals_hold() {
+    // Recorded at commit 950c012, while both deployments still drove
+    // `core::Source`/`core::Cache` by hand. Every cost model here has θ = 1,
+    // so the policies draw no coin flips and a changed seed-fork order for
+    // the stores cannot move these numbers; the leaf-choice stream can. The
+    // seeds are the ones the `hierarchy_multilevel` sweep gives these leaf
+    // counts: the hierarchy runs on `seed`, the flat fan-out on `seed + 1`.
+    let got: Vec<(usize, HierPin, HierPin)> = [(1, 2), (4, 6), (16, 10)]
+        .into_iter()
+        .map(|(n_leaves, offset)| {
+            let seed = 0x5151_2001 + 550_000 + offset;
+            let cfg = MultiLevelConfig { n_leaves, ..MultiLevelConfig::default() };
+            let initial = [0.0; 8];
+            let hier = MultiLevelSystem::new(&cfg, &initial, Rng::seed_from_u64(seed)).unwrap();
+            let flat = FlatFanoutSystem::new(&cfg, &initial, Rng::seed_from_u64(seed)).unwrap();
+            (n_leaves, hierarchy_run(hier, seed), hierarchy_run(flat, seed + 1))
+        })
+        .collect();
+    let bits = f64::to_bits;
+    assert_eq!(
+        got,
+        [
+            (1, (13684, 13680, bits(25652.5)), (6791, 6788, bits(25458.75))),
+            (4, (22477, 22484, bits(32219.0)), (11105, 11110, bits(41656.25))),
+            (16, (30713, 30697, bits(38282.5)), (18005, 17971, bits(67433.75))),
+        ]
+    );
 }

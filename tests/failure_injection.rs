@@ -2,9 +2,8 @@
 //! structured errors everywhere — the library never panics on bad input.
 
 use apcache::core::cost::CostModel;
-use apcache::core::policy::{AdaptiveParams, AdaptivePolicy, PrecisionPolicy};
-use apcache::core::source::Source;
-use apcache::core::{CacheId, Key, Rng};
+use apcache::core::policy::AdaptiveParams;
+use apcache::core::{Key, Rng};
 use apcache::queries::{evaluate, AggregateKind, ItemBound, PrecisionConstraint, QueryError};
 use apcache::sim::systems::{AdaptiveSystem, AdaptiveSystemConfig};
 use apcache::sim::{CacheSystem, SimConfig, Stats};
@@ -51,21 +50,6 @@ fn planner_reports_broken_fetchers() {
 }
 
 #[test]
-fn source_misuse_is_structured() {
-    let cost = CostModel::multiversion();
-    let params = AdaptiveParams::new(&cost, 1.0).expect("valid");
-    let mut source = Source::new(Key(0), 5.0).expect("valid");
-    let mut rng = Rng::seed_from_u64(1);
-    // Serving a cache that never registered.
-    assert!(source.serve_exact(CacheId(3), 0, &mut rng).is_err());
-    // Double registration.
-    let p1: Box<dyn PrecisionPolicy> = Box::new(AdaptivePolicy::new(params, 1.0).expect("valid"));
-    let p2: Box<dyn PrecisionPolicy> = Box::new(AdaptivePolicy::new(params, 1.0).expect("valid"));
-    assert!(source.register(CacheId(0), p1, 0).is_ok());
-    assert!(source.register(CacheId(0), p2, 0).is_err());
-}
-
-#[test]
 fn config_validation_is_exhaustive_at_the_boundaries() {
     // SimConfig.
     assert!(SimConfig::builder().duration_secs(0).build().is_err());
@@ -95,14 +79,25 @@ fn config_validation_is_exhaustive_at_the_boundaries() {
 
 #[test]
 fn hierarchy_misuse_is_structured() {
-    use apcache::hier::{LeafId, MultiLevelConfig, MultiLevelSystem};
+    use apcache::hier::{FlatFanoutSystem, LeafId, MultiLevelConfig, MultiLevelSystem};
     let mut sys =
         MultiLevelSystem::new(&MultiLevelConfig::default(), &[1.0], Rng::seed_from_u64(0))
             .expect("builds");
     let mut stats = Stats::new();
+    stats.begin_measurement();
     assert!(sys.read_bounded(LeafId(99), Key(0), 1.0, 0, &mut stats).is_err());
     assert!(sys.read_bounded(LeafId(0), Key(99), 1.0, 0, &mut stats).is_err());
     assert!(sys.on_update(Key(99), 1.0, 0, &mut stats).is_err());
+    // A NaN or negative tolerance is rejected before any hop is charged.
+    let mut flat =
+        FlatFanoutSystem::new(&MultiLevelConfig::default(), &[1.0], Rng::seed_from_u64(0))
+            .expect("builds");
+    for delta in [f64::NAN, -1.0] {
+        let before = stats.qr_count();
+        assert!(sys.read_bounded(LeafId(0), Key(0), delta, 0, &mut stats).is_err(), "{delta}");
+        assert!(flat.read_bounded(LeafId(0), Key(0), delta, 0, &mut stats).is_err(), "{delta}");
+        assert_eq!(stats.qr_count(), before, "δ = {delta} charged a refresh");
+    }
 }
 
 #[test]
