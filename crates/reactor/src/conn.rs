@@ -2,8 +2,8 @@
 //! Frames → Draining → closed`) over reusable buffers. This module is
 //! the specification of what a pipelined connection does with each
 //! frame: which verbs are submitted to the runtime's ticketed surface,
-//! which are answered on the spot, which faults pre-v3 peers get, and
-//! how subscriptions are tracked and cancelled.
+//! which are answered on the spot, and how subscriptions are tracked
+//! and cancelled.
 //! `tests/reactor_conformance.rs` holds it bit-identical to the same
 //! operations applied in process.
 
@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use apcache_runtime::{Outcome, RuntimeHandle, Ticket};
 use apcache_telemetry::{Counter, Gauge, Registry, TraceKind};
 use apcache_wire::{
-    decode_frame, encode_framed, requires_v3, split_frame, v3_fault, FaultKind, KeyCodec,
-    WireError, WireFault, WireMessage, WireRequest, WireResponse, VERSION,
+    decode_frame, encode_framed, split_frame, FaultKind, KeyCodec, WireError, WireFault,
+    WireMessage, WireRequest, WireResponse,
 };
 
 use crate::buffer::{ReadBuf, WriteBuf};
@@ -84,15 +84,13 @@ impl ConnStats {
 }
 
 /// Where a ticket's answer goes: which connection, under which request
-/// id, encoded at which protocol version.
+/// id.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RouteEntry {
     /// The owning connection's token.
     pub conn: u64,
     /// The request id the answer echoes.
     pub request_id: u64,
-    /// The protocol version the answer is encoded at.
-    pub version: u8,
 }
 
 /// Hasher for the worker-local maps, whose keys are all sequentially
@@ -149,12 +147,12 @@ pub(crate) enum State {
     Http,
     /// The frame protocol, pipelined.
     Frames,
-    /// No more requests will be read. `ack` carries the id/version of a
+    /// No more requests will be read. `ack` carries the request id of a
     /// client `Shutdown` to acknowledge once everything in flight has
     /// been answered; `None` is a plain disconnect (or a served scrape).
     Draining {
         /// Pending `ShutdownAck` correlation, if any.
-        ack: Option<(u64, u8)>,
+        ack: Option<u64>,
     },
 }
 
@@ -414,25 +412,14 @@ impl<S: Read + Write> Conn<S> {
                 }
             };
             self.rd.consume(consumed);
-            let (request_id, version) = (frame.request_id, frame.version);
-            let request = match frame.msg {
-                WireMessage::Request(request) => request,
-                WireMessage::Refresh(_)
-                | WireMessage::Exact(_)
-                | WireMessage::Response(_)
-                | WireMessage::Push(_) => {
-                    let fault = WireFault::new(
-                        FaultKind::Unsupported,
-                        "this endpoint serves requests; push frames have no meaning here",
-                    );
-                    self.ship_response::<K>(version, request_id, WireResponse::Error(fault));
+            let request_id = frame.request_id;
+            let request = match frame.msg.into_request() {
+                Ok(request) => request,
+                Err(fault) => {
+                    self.ship_response::<K>(request_id, WireResponse::Error(fault));
                     continue;
                 }
             };
-            if requires_v3(&request) && version < VERSION {
-                self.ship_response::<K>(version, request_id, WireResponse::Error(v3_fault()));
-                continue;
-            }
             let submitted = match request {
                 WireRequest::Read { key, constraint, now } => {
                     handle.submit_read(&key, constraint, now)
@@ -444,20 +431,6 @@ impl<S: Read + Write> Conn<S> {
                 }
                 WireRequest::Metrics => handle.submit_metrics(),
                 WireRequest::Subscribe { key, filter, now } => {
-                    if version < VERSION {
-                        // Pre-v3 peers have no Push frame in their
-                        // vocabulary; refuse rather than stream frames
-                        // the peer cannot decode.
-                        self.ship_response::<K>(
-                            version,
-                            request_id,
-                            WireResponse::Error(WireFault::new(
-                                FaultKind::Unsupported,
-                                "push subscriptions require protocol v3",
-                            )),
-                        );
-                        continue;
-                    }
                     let submitted = handle.submit_subscribe(&key, filter, now);
                     if let Ok(ticket) = &submitted {
                         self.subs.insert(request_id, *ticket);
@@ -468,7 +441,6 @@ impl<S: Read + Write> Conn<S> {
                     Some(ticket) => handle.submit_unsubscribe(ticket),
                     None => {
                         self.ship_response::<K>(
-                            version,
                             request_id,
                             WireResponse::Unsubscribed { existed: false },
                         );
@@ -487,11 +459,7 @@ impl<S: Read + Write> Conn<S> {
                 // writes land before the state leaves (the
                 // drain-then-flip ordering migration needs).
                 WireRequest::KeyList => {
-                    self.ship_response(
-                        version,
-                        request_id,
-                        WireResponse::Keys(handle.sorted_keys()),
-                    );
+                    self.ship_response(request_id, WireResponse::Keys(handle.sorted_keys()));
                     continue;
                 }
                 WireRequest::ExportKeys { keys } => {
@@ -499,7 +467,7 @@ impl<S: Read + Write> Conn<S> {
                         Ok(states) => WireResponse::Exported(states),
                         Err(e) => WireResponse::Error(WireFault::from(e)),
                     };
-                    self.ship_response(version, request_id, response);
+                    self.ship_response(request_id, response);
                     continue;
                 }
                 WireRequest::ImportKeys { states } => {
@@ -507,7 +475,7 @@ impl<S: Read + Write> Conn<S> {
                         Ok(()) => WireResponse::<K>::Imported,
                         Err(e) => WireResponse::Error(WireFault::from(e)),
                     };
-                    self.ship_response(version, request_id, response);
+                    self.ship_response(request_id, response);
                     continue;
                 }
                 WireRequest::Exposition => handle.submit_exposition(),
@@ -516,21 +484,19 @@ impl<S: Read + Write> Conn<S> {
                     // Frames after a Shutdown are not served: the ack
                     // promises the client nothing of its own is still
                     // in flight.
-                    self.enter_draining(Some((request_id, version)), handle);
+                    self.enter_draining(Some(request_id), handle);
                     return true;
                 }
             };
             match submitted {
                 Ok(ticket) => {
-                    route.insert(ticket, RouteEntry { conn: self.token, request_id, version });
+                    route.insert(ticket, RouteEntry { conn: self.token, request_id });
                     self.in_flight += 1;
                     *budget -= 1;
                 }
-                Err(e) => self.ship_response::<K>(
-                    version,
-                    request_id,
-                    WireResponse::Error(WireFault::from(e)),
-                ),
+                Err(e) => {
+                    self.ship_response::<K>(request_id, WireResponse::Error(WireFault::from(e)))
+                }
             }
         }
     }
@@ -553,7 +519,7 @@ impl<S: Read + Write> Conn<S> {
     /// entry — without it a draining connection would wait forever on
     /// tickets that stream but never settle. The cancel acks themselves
     /// are never routed and are dropped by the worker as orphans.
-    pub(crate) fn enter_draining<K>(&mut self, ack: Option<(u64, u8)>, handle: &RuntimeHandle<K>)
+    pub(crate) fn enter_draining<K>(&mut self, ack: Option<u64>, handle: &RuntimeHandle<K>)
     where
         K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
@@ -571,9 +537,9 @@ impl<S: Read + Write> Conn<S> {
     /// the connection's last frame: a client that has read it knows
     /// every earlier request was answered and may close.
     pub(crate) fn maybe_ack_shutdown(&mut self) {
-        if let State::Draining { ack: Some((request_id, version)) } = self.state {
+        if let State::Draining { ack: Some(request_id) } = self.state {
             if self.in_flight == 0 {
-                self.ship_response::<String>(version, request_id, WireResponse::ShutdownAck);
+                self.ship_response::<String>(request_id, WireResponse::ShutdownAck);
                 self.state = State::Draining { ack: None };
                 self.acked_shutdown = true;
             }
@@ -585,7 +551,6 @@ impl<S: Read + Write> Conn<S> {
         &mut self,
         outcome: Result<Outcome<K>, apcache_runtime::RuntimeError>,
         request_id: u64,
-        version: u8,
     ) where
         K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     {
@@ -620,15 +585,15 @@ impl<S: Read + Write> Conn<S> {
             Ok(Outcome::Exposition(text)) => WireMessage::Response(WireResponse::Exposition(text)),
             Err(e) => WireMessage::Response(WireResponse::Error(WireFault::from(e))),
         };
-        self.ship(version, request_id, &msg);
+        self.ship(request_id, &msg);
     }
 
     /// Fault one still-mapped request on this connection — the
     /// lost-ticket fallback (`ActorGone`).
-    pub(crate) fn fault_in_flight(&mut self, request_id: u64, version: u8) {
+    pub(crate) fn fault_in_flight(&mut self, request_id: u64) {
         let fault =
             WireFault::new(FaultKind::ActorGone, "the serving runtime lost this request's ticket");
-        self.ship_response::<String>(version, request_id, WireResponse::Error(fault));
+        self.ship_response::<String>(request_id, WireResponse::Error(fault));
     }
 
     /// Retire one routed ticket (everything except streaming pushes).
@@ -636,19 +601,19 @@ impl<S: Read + Write> Conn<S> {
         self.in_flight = self.in_flight.saturating_sub(1);
     }
 
-    fn ship_response<K>(&mut self, version: u8, request_id: u64, response: WireResponse<K>)
+    fn ship_response<K>(&mut self, request_id: u64, response: WireResponse<K>)
     where
         K: KeyCodec + Ord + Clone,
     {
-        self.ship(version, request_id, &WireMessage::Response(response));
+        self.ship(request_id, &WireMessage::Response(response));
     }
 
     /// Encode one frame into the write buffer and count it.
-    fn ship<K>(&mut self, version: u8, request_id: u64, msg: &WireMessage<K>)
+    fn ship<K>(&mut self, request_id: u64, msg: &WireMessage<K>)
     where
         K: KeyCodec + Ord + Clone,
     {
-        let n = encode_framed(version, request_id, msg, self.wr.vec());
+        let n = encode_framed(request_id, msg, self.wr.vec());
         self.pend_frames_out += 1;
         self.pend_bytes_out += n as u64;
     }

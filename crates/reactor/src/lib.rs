@@ -11,11 +11,10 @@
 //! — TCP or in-process — is a state machine on a fixed worker pool:
 //!
 //! * [`serve_reactor`] accepts on a listener and serves the whole wire
-//!   contract: v1/v2/v3 version echo, pipelined out-of-order replies,
-//!   push subscriptions with per-subscription ordering, `Unsupported`
-//!   faults for pre-v3 peers, plain-HTTP `GET /metrics` sniffed off the
-//!   first four bytes, subscription cancel on disconnect, and a bounded
-//!   drain grace after the first client `Shutdown`;
+//!   contract: pipelined out-of-order replies, push subscriptions with
+//!   per-subscription ordering, plain-HTTP `GET /metrics` sniffed off
+//!   the first four bytes, subscription cancel on disconnect, and a
+//!   bounded drain grace after the first client `Shutdown`;
 //!   [`Reactor::add_connection`] serves any [`ReactorStream`] the same
 //!   way without a listener (`tests/reactor_conformance.rs` holds the
 //!   door bit-identical to the same operations applied in process);

@@ -83,8 +83,14 @@ impl ReactorStream for apcache_wire::LoopbackStream {
     }
 }
 
+/// The safety-net park bound, far below the drain grace: how stale a
+/// worker can be about cross-thread state (the stop flag, forced-close
+/// deadlines) when no event wakes it sooner. Events always wake
+/// immediately.
+const POLL_TIMEOUT: Duration = Duration::from_millis(25);
+
 /// Reactor tuning. The defaults: a handful of workers, the platform's
-/// best poller, a safety-net poll timeout far below the drain grace.
+/// best poller, a two-second drain grace.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Worker threads (each owns a poller and a share of the
@@ -92,10 +98,6 @@ pub struct ReactorConfig {
     pub workers: usize,
     /// Which readiness backend to use.
     pub poller: PollerKind,
-    /// The safety-net park bound: how stale a worker can be about
-    /// cross-thread state (the stop flag, forced-close deadlines) when
-    /// no event wakes it sooner. Events always wake immediately.
-    pub poll_timeout: Duration,
     /// How long connections still open at a stop get to finish on their
     /// own — answer what is in flight, complete their own `Shutdown`
     /// handshakes (a `ClientPool` drains its members one after another,
@@ -107,12 +109,7 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         let workers = thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2);
-        ReactorConfig {
-            workers,
-            poller: PollerKind::Auto,
-            poll_timeout: Duration::from_millis(25),
-            drain_grace: Duration::from_secs(2),
-        }
+        ReactorConfig { workers, poller: PollerKind::Auto, drain_grace: Duration::from_secs(2) }
     }
 }
 
@@ -253,11 +250,10 @@ impl<S: ReactorStream> Reactor<S> {
             // completion queue: this worker's tickets are its own.
             let handle = handle.clone();
             let counters = counters.clone();
-            let config = config.clone();
             workers.push(
                 thread::Builder::new()
                     .name(format!("apcache-reactor-{index}"))
-                    .spawn(move || worker_loop(poller, inbox, shared, handle, counters, config))?,
+                    .spawn(move || worker_loop(poller, inbox, shared, handle, counters))?,
             );
         }
         Ok(Reactor { shared, workers })
@@ -306,7 +302,6 @@ fn worker_loop<K, S>(
     shared: Arc<Shared<S>>,
     handle: RuntimeHandle<K>,
     counters: ReactorCounters,
-    config: ReactorConfig,
 ) where
     K: KeyCodec + Hash + Ord + Clone + Send + Sync + 'static,
     S: ReactorStream,
@@ -365,7 +360,7 @@ fn worker_loop<K, S>(
         // ------------------------------------------------------- park
         events.ready.clear();
         events.woken = false;
-        let timeout = if initially_ready.is_empty() { config.poll_timeout } else { Duration::ZERO };
+        let timeout = if initially_ready.is_empty() { POLL_TIMEOUT } else { Duration::ZERO };
         if poller.poll(&mut events, timeout).is_err() {
             // A failed poll is unrecoverable for this worker; behave as
             // a stop so its connections drain through the grace path.
@@ -431,7 +426,7 @@ fn worker_loop<K, S>(
                     conn.retire();
                 }
                 let ended = matches!(completion.outcome, Ok(Outcome::SubscriptionEnded));
-                conn.ship_outcome(completion.outcome, entry.request_id, entry.version);
+                conn.ship_outcome(completion.outcome, entry.request_id);
                 if !ended {
                     conn.frames_this_round += 1;
                 }
@@ -467,7 +462,7 @@ fn worker_loop<K, S>(
                 if let Some(conn) = conns.get_mut(&entry.conn) {
                     touched.push(entry.conn);
                     conn.retire();
-                    conn.fault_in_flight(entry.request_id, entry.version);
+                    conn.fault_in_flight(entry.request_id);
                 }
             }
         }
@@ -545,13 +540,14 @@ fn worker_loop<K, S>(
 
 /// Accept TCP connections on `listener` and serve each through the
 /// reactor — the cross-process face of the actor runtime: pipelined
-/// out-of-order replies, v1/v2/v3 version echo, push subscriptions,
-/// plain-HTTP `GET /metrics` sniffed off the first bytes, and the first
-/// client `Shutdown` stopping the accept loop with a bounded drain
-/// grace for its siblings (connections still open after the grace —
-/// idle peers included — are force-closed and counted in
-/// `apcache_wire_forced_closes_total`). A fixed worker pool multiplexes
-/// every connection, so one process holds 10k+ connections open.
+/// out-of-order replies, push subscriptions, plain-HTTP `GET /metrics`
+/// sniffed off the first bytes, and the first client `Shutdown`
+/// stopping the accept loop with a bounded drain grace for its siblings
+/// (connections still open after the grace — idle peers included — are
+/// force-closed and counted in `apcache_wire_forced_closes_total`). A
+/// fixed worker pool multiplexes every connection, so one process holds
+/// 10k+ connections open. An `accept` error ends the loop the same way,
+/// draining and joining every worker, and is then returned.
 ///
 /// Accepted sockets are served as accepted: `TCP_NODELAY` is **not**
 /// set on them (see the README's note on the gap).
@@ -565,12 +561,11 @@ where
 {
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 
-    let reactor: Reactor<TcpStream> =
-        Reactor::launch(&handle, config).map_err(|e| WireError::Io(e.to_string()))?;
+    let io = |e: io::Error| WireError::Io(e.to_string());
     // The wake-up dial must target a routable address: a listener bound
     // to the unspecified address (0.0.0.0 / ::) is reachable on
     // loopback, but *connecting to* 0.0.0.0 is platform-dependent.
-    let local_addr = listener.local_addr().map_err(|e| WireError::Io(e.to_string()))?;
+    let local_addr = listener.local_addr().map_err(io)?;
     let wake_addr = SocketAddr::new(
         match local_addr.ip() {
             IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
@@ -579,16 +574,24 @@ where
         },
         local_addr.port(),
     );
+    // No `?` past this point: every exit below joins the workers, which
+    // would otherwise outlive the call holding the runtime handle.
+    let reactor: Reactor<TcpStream> = Reactor::launch(&handle, config).map_err(io)?;
     reactor.on_stop(move || {
         let _ = TcpStream::connect(wake_addr);
     });
+    let mut exit = Ok(());
     while !reactor.stopped() {
-        let (stream, _) = listener.accept().map_err(|e| WireError::Io(e.to_string()))?;
-        if reactor.stopped() {
-            break; // the wake-up dial from the stop hook; discard it
+        match listener.accept() {
+            // The wake-up dial from the stop hook; discard it.
+            Ok(_) if reactor.stopped() => break,
+            Ok((stream, _)) => reactor.add_connection(stream),
+            Err(e) => {
+                exit = Err(io(e));
+                break;
+            }
         }
-        reactor.add_connection(stream);
     }
     reactor.join();
-    Ok(())
+    exit
 }

@@ -2,9 +2,10 @@
 //! in front of a live runtime — in process over loopback streams and
 //! across real localhost TCP — covering out-of-order replies, push
 //! streams and their exact fan-out at 100 and 10 000 subscriptions,
-//! the v3 lease/telemetry/migration verbs and their pre-v3
-//! fault, disconnect hygiene, listener teardown, a remote server living
-//! as one shard of a mixed ring, and a pool draining past a dead member.
+//! the lease/telemetry/migration verbs, a frame at another protocol
+//! version closing its connection, disconnect hygiene, listener
+//! teardown, a remote server living as one shard of a mixed ring, and a
+//! pool draining past a dead member.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -18,9 +19,9 @@ use apcache_runtime::Runtime;
 use apcache_shard::{ShardBackend, ShardRouter, ShardedStore, ShardedStoreBuilder};
 use apcache_store::{Constraint, InitialWidth, StoreBuilder};
 use apcache_wire::{
-    decode_frame, loopback, versioned_to_vec, ClientPool, FaultKind, LoopbackStream,
-    LoopbackTransport, RemoteError, RemoteStoreClient, TcpTransport, Transport, WireError,
-    WireFault, WireMessage, WireRequest, WireResponse, VERSION_V2,
+    decode_frame, frame_to_vec, loopback, ClientPool, FaultKind, LoopbackStream, LoopbackTransport,
+    RemoteError, RemoteStoreClient, TcpTransport, Transport, WireError, WireMessage, WireRequest,
+    WireResponse, VERSION,
 };
 
 fn fleet(sources: impl IntoIterator<Item = (u64, f64)>) -> Runtime<u64> {
@@ -289,41 +290,20 @@ fn an_import_frame_whose_interval_excludes_the_value_is_refused_and_installs_not
 }
 
 #[test]
-fn v2_peers_get_a_stable_fault_for_every_v3_verb() {
+fn a_frame_at_another_protocol_version_is_a_decode_fault_not_an_answer() {
     let runtime = fleet([(1u64, 100.0)]);
     let (reactor, mut client_t) = serve_loopback(&runtime);
 
-    let cfg = LeaseConfig { ttl_ms: 1_000, fallback: FallbackWidth::Unbounded };
-    let v3_only: Vec<WireRequest<u64>> = vec![
-        WireRequest::Lease { key: 1, cfg, now: 0 },
-        WireRequest::ReleaseLease { key: 1, now: 0 },
-        WireRequest::AdvanceTime { now: 10 },
-        WireRequest::KeyList,
-        WireRequest::ExportKeys { keys: vec![1] },
-        WireRequest::ImportKeys { states: Vec::new() },
-        WireRequest::Exposition,
-        WireRequest::PushStats,
-        // Pre-v3 peers have no Push frame to decode a stream with.
-        WireRequest::Subscribe { key: 1, filter: PushFilter::Always, now: 0 },
-    ];
-    for (i, request) in v3_only.into_iter().enumerate() {
-        let id = 100 + i as u64;
-        client_t.send(&versioned_to_vec(VERSION_V2, id, &WireMessage::Request(request))).unwrap();
-        let frame = decode_frame::<u64>(&client_t.recv().unwrap()).unwrap();
-        // The fault echoes the peer's own version and id, so a v2
-        // decoder can always read its refusal.
-        assert_eq!((frame.request_id, frame.version), (id, VERSION_V2));
-        assert!(
-            matches!(
-                frame.msg,
-                WireMessage::Response(WireResponse::Error(WireFault {
-                    kind: FaultKind::Unsupported,
-                    ..
-                }))
-            ),
-            "verb #{i} must be refused for v2 peers"
-        );
-    }
+    let read = WireRequest::Read { key: 1u64, constraint: Constraint::Exact, now: 0 };
+    let mut body = frame_to_vec(7, &WireMessage::Request(read));
+    assert_eq!(body[1], VERSION);
+    body[1] = 2;
+    client_t.send(&body).unwrap();
+    // No reply frame: the connection drains and closes.
+    assert_eq!(client_t.recv(), Err(WireError::Closed));
+    let handle = runtime.handle();
+    let faults = handle.telemetry().registry().counter("apcache_wire_decode_faults_total", "", &[]);
+    assert_eq!(faults.get(), 1);
     drop(client_t);
     finish(reactor, &runtime, false);
     runtime.shutdown().unwrap();
@@ -578,8 +558,7 @@ fn pool_drain_survives_a_member_dying_mid_drain_over_tcp() {
         let WireMessage::Request(WireRequest::Subscribe { .. }) = frame.msg else {
             panic!("expected the pool's Subscribe first");
         };
-        t.send(&versioned_to_vec::<u64>(
-            frame.version,
+        t.send(&frame_to_vec::<u64>(
             frame.request_id,
             &WireMessage::Response(WireResponse::Subscribed {
                 interval: Interval::point(1.0).unwrap(),

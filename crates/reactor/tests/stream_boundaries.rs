@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apcache_push::{FallbackWidth, LeaseConfig, PushFilter};
+use apcache_push::PushFilter;
 use apcache_queries::AggregateKind;
 use apcache_reactor::{RawFd, Reactor, ReactorConfig, ReactorStream};
 use apcache_runtime::{Runtime, RuntimeConfig};
@@ -16,7 +16,7 @@ use apcache_shard::ShardedStoreBuilder;
 use apcache_store::{Constraint, InitialWidth};
 use apcache_wire::{
     decode_frame, encode_framed, loopback_streams, split_frame, LoopbackStream, WireMessage,
-    WireRequest, WireResponse, VERSION, VERSION_V1, VERSION_V2,
+    WireRequest, WireResponse,
 };
 
 /// One shard, so completions leave the single actor in submission order
@@ -80,21 +80,16 @@ impl ReactorStream for Observed {
 }
 
 /// The fixed pipeline, as the bytes a client would write. The one verb
-/// answered on the spot (a pre-v3 `Lease`) leads: an immediate answer
-/// overtakes completions still on the actor, so anywhere else its place
-/// in the reply stream would depend on timing, not on the bytes.
+/// answered on the spot (an `Unsubscribe` naming no live subscription)
+/// leads: an immediate answer overtakes completions still on the actor,
+/// so anywhere else its place in the reply stream would depend on
+/// timing, not on the bytes.
 fn pipeline() -> Vec<u8> {
-    let cfg = LeaseConfig { ttl_ms: 1_000, fallback: FallbackWidth::Unbounded };
-    let requests: [(u8, u64, WireRequest<u64>); 7] = [
-        (VERSION_V2, 7, WireRequest::Lease { key: 1, cfg, now: 0 }),
+    let requests: [(u64, WireRequest<u64>); 7] = [
+        (7, WireRequest::Unsubscribe { sub: 99 }),
+        (8, WireRequest::Read { key: 1, constraint: Constraint::Absolute(5.0), now: 1 }),
+        (9, WireRequest::Write { key: 2, value: 1e6, now: 2 }),
         (
-            VERSION_V1,
-            0,
-            WireRequest::Read { key: 1, constraint: Constraint::Absolute(5.0), now: 1 },
-        ),
-        (VERSION_V2, 9, WireRequest::Write { key: 2, value: 1e6, now: 2 }),
-        (
-            VERSION,
             10,
             WireRequest::Aggregate {
                 kind: AggregateKind::Sum,
@@ -103,14 +98,14 @@ fn pipeline() -> Vec<u8> {
                 now: 3,
             },
         ),
-        (VERSION, 11, WireRequest::Subscribe { key: 1, filter: PushFilter::Always, now: 4 }),
+        (11, WireRequest::Subscribe { key: 1, filter: PushFilter::Always, now: 4 }),
         // Escapes key 1's interval: one push on subscription 11.
-        (VERSION, 12, WireRequest::Write { key: 1, value: 5e5, now: 5 }),
-        (VERSION, 13, WireRequest::Shutdown),
+        (12, WireRequest::Write { key: 1, value: 5e5, now: 5 }),
+        (13, WireRequest::Shutdown),
     ];
     let mut bytes = Vec::new();
-    for (version, id, request) in requests {
-        encode_framed(version, id, &WireMessage::Request(request), &mut bytes);
+    for (id, request) in requests {
+        encode_framed(id, &WireMessage::Request(request), &mut bytes);
     }
     bytes
 }
@@ -143,12 +138,12 @@ fn replies(pieces: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-fn frames(mut bytes: &[u8]) -> Vec<(u8, u64, WireMessage<u64>)> {
+fn frames(mut bytes: &[u8]) -> Vec<(u64, WireMessage<u64>)> {
     let mut out = Vec::new();
     while !bytes.is_empty() {
         let (body, consumed) = split_frame(bytes).expect("whole frames only");
         let frame = decode_frame::<u64>(body).expect("well-formed frame");
-        out.push((frame.version, frame.request_id, frame.msg));
+        out.push((frame.request_id, frame.msg));
         bytes = &bytes[consumed..];
     }
     out
@@ -159,27 +154,18 @@ fn reply_stream_is_identical_for_every_byte_boundary_split() {
     let bytes = pipeline();
     let whole = replies(&[&bytes]);
 
-    // The whole-write run is the spec: versions and ids echoed, the
-    // push ahead of the write that caused it, `ShutdownAck` last.
+    // The whole-write run is the spec: ids echoed, the push ahead of
+    // the write that caused it, `ShutdownAck` last.
     let got = frames(&whole);
-    let shape: Vec<(u8, u64)> = got.iter().map(|(v, id, _)| (*v, *id)).collect();
-    assert_eq!(
-        shape,
-        [
-            (VERSION_V2, 7),
-            (VERSION_V1, 0),
-            (VERSION_V2, 9),
-            (VERSION, 10),
-            (VERSION, 11),
-            (VERSION, 11),
-            (VERSION, 12),
-            (VERSION, 13)
-        ]
-    );
-    assert!(matches!(got[0].2, WireMessage::Response(WireResponse::Error(_))));
-    assert!(matches!(got[4].2, WireMessage::Response(WireResponse::Subscribed { .. })));
-    assert!(matches!(got[5].2, WireMessage::Push(_)));
-    assert!(matches!(got[7].2, WireMessage::Response(WireResponse::ShutdownAck)));
+    let ids: Vec<u64> = got.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, [7, 8, 9, 10, 11, 11, 12, 13]);
+    assert!(matches!(
+        got[0].1,
+        WireMessage::Response(WireResponse::Unsubscribed { existed: false })
+    ));
+    assert!(matches!(got[4].1, WireMessage::Response(WireResponse::Subscribed { .. })));
+    assert!(matches!(got[5].1, WireMessage::Push(_)));
+    assert!(matches!(got[7].1, WireMessage::Response(WireResponse::ShutdownAck)));
 
     for cut in 1..bytes.len() {
         let (head, tail) = bytes.split_at(cut);
@@ -205,7 +191,7 @@ fn fin_after_a_full_window_still_answers_every_request() {
     let mut bytes = Vec::new();
     for id in 1..=REQUESTS {
         let read = WireRequest::Read { key: 1u64, constraint: Constraint::Exact, now: id };
-        encode_framed(VERSION, id, &WireMessage::Request(read), &mut bytes);
+        encode_framed(id, &WireMessage::Request(read), &mut bytes);
     }
     client.write_all(&bytes).unwrap();
     client.shutdown(Shutdown::Write).unwrap();
@@ -214,7 +200,7 @@ fn fin_after_a_full_window_still_answers_every_request() {
 
     let mut ids: Vec<u64> = frames(&out)
         .into_iter()
-        .map(|(_, id, msg)| {
+        .map(|(id, msg)| {
             assert!(matches!(msg, WireMessage::Response(WireResponse::Read(_))), "{msg:?}");
             id
         })

@@ -25,14 +25,19 @@ pub(crate) struct ShardActor<K> {
     leases: LeaseTable<K>,
 }
 
+/// Tick width of each shard's TTL-lease timer wheel, in logical
+/// milliseconds (lapses are detected on this grid): fine enough that a
+/// lapsed lease is noticed within a frame's worth of logical time,
+/// coarse enough that the wheel's cascades stay cheap.
+const LEASE_RESOLUTION_MS: u64 = 16;
+
 impl<K: Hash + Ord + Clone> ShardActor<K> {
-    /// Wrap a shard's store. `lease_resolution_ms` is the lease timer
-    /// wheel's tick width (lapses are detected on the wheel's grid).
-    pub(crate) fn new(store: PrecisionStore<K>, lease_resolution_ms: u64) -> Self {
+    /// Wrap a shard's store.
+    pub(crate) fn new(store: PrecisionStore<K>) -> Self {
         ShardActor {
             store,
             registry: SubscriberRegistry::new(),
-            leases: LeaseTable::new(0, lease_resolution_ms),
+            leases: LeaseTable::new(0, LEASE_RESOLUTION_MS),
         }
     }
 

@@ -128,8 +128,7 @@ pub use completion::{Completion, CompletionQueue, Outcome, SubscriptionSender, T
 pub use error::RuntimeError;
 pub use request::Request;
 pub use runtime::{
-    Runtime, RuntimeConfig, RuntimeHandle, RuntimeMetrics, DEFAULT_LEASE_RESOLUTION_MS,
-    DEFAULT_MAILBOX_CAPACITY,
+    Runtime, RuntimeConfig, RuntimeHandle, RuntimeMetrics, DEFAULT_MAILBOX_CAPACITY,
 };
 pub use telemetry::{RuntimeTelemetry, DEFAULT_TRACE_CAPACITY, VERBS};
 

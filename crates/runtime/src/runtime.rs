@@ -34,9 +34,6 @@ pub struct RuntimeConfig {
     /// before senders park (the backpressure bound). Values below 1 are
     /// treated as 1.
     pub mailbox_capacity: usize,
-    /// Tick width of each shard's TTL-lease timer wheel, in logical
-    /// milliseconds: lease lapses are detected on this grid.
-    pub lease_resolution_ms: u64,
     /// When `Some`, the runtime spawns a wall-clock tick thread that
     /// sends a fire-and-forget [`Request::Tick`] to every shard at this
     /// interval, so leases lapse even on idle shards. `None` (the
@@ -48,11 +45,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
-            lease_resolution_ms: DEFAULT_LEASE_RESOLUTION_MS,
-            tick_interval: None,
-        }
+        RuntimeConfig { mailbox_capacity: DEFAULT_MAILBOX_CAPACITY, tick_interval: None }
     }
 }
 
@@ -60,11 +53,6 @@ impl Default for RuntimeConfig {
 /// under bursts, shallow enough that a stalled shard pushes back on its
 /// producers within microseconds of work.
 pub const DEFAULT_MAILBOX_CAPACITY: usize = 1_024;
-
-/// Default lease timer-wheel resolution: fine enough that a lapsed lease
-/// is noticed within a frame's worth of logical time, coarse enough that
-/// the wheel's cascades stay cheap.
-pub const DEFAULT_LEASE_RESOLUTION_MS: u64 = 16;
 
 /// The deployment shape at one instant: the ring, the ring id of each
 /// mailbox slot, and the mailbox senders themselves.
@@ -145,10 +133,9 @@ impl<K: Hash + Ord + Clone + Send + Sync + 'static> Runtime<K> {
             Vec::with_capacity(shards.len());
         for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = mailbox::<Request<K>>(cfg.mailbox_capacity);
-            let lease_resolution_ms = cfg.lease_resolution_ms;
             let spawned =
                 thread::Builder::new().name(format!("apcache-shard-{i}")).spawn(move || {
-                    let mut actor = ShardActor::new(shard, lease_resolution_ms);
+                    let mut actor = ShardActor::new(shard);
                     while let Some(request) = rx.recv() {
                         actor.serve(request);
                     }
@@ -237,11 +224,10 @@ impl<K: Hash + Ord + Clone + Send + Sync + 'static> Runtime<K> {
         let mut router = topo.router.clone();
         let new_id = router.add_shard();
         let (tx, rx) = mailbox::<Request<K>>(self.cfg.mailbox_capacity);
-        let lease_resolution_ms = self.cfg.lease_resolution_ms;
         let thread = thread::Builder::new()
             .name(format!("apcache-shard-{new_id}"))
             .spawn(move || {
-                let mut actor = ShardActor::new(store, lease_resolution_ms);
+                let mut actor = ShardActor::new(store);
                 while let Some(request) = rx.recv() {
                     actor.serve(request);
                 }

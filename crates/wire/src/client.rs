@@ -1,7 +1,7 @@
 //! The client side of the wire: the same serving verbs as the local
 //! façades, executed against a remote server through any [`Transport`] —
 //! **pipelined**: a window of requests rides one connection in flight at
-//! once, correlated by the v2 frame header's request id.
+//! once, correlated by the frame header's request id.
 //!
 //! Every verb exists in two forms, mirroring
 //! [`RuntimeHandle`](apcache_runtime::RuntimeHandle):
@@ -16,7 +16,7 @@
 //! the actor runtime answers whichever shard finishes first); harvested
 //! responses for other tickets are parked until their `wait_*` call.
 //!
-//! v3 adds the **push channel**: [`subscribe`](RemoteStoreClient::subscribe)
+//! The **push channel**: [`subscribe`](RemoteStoreClient::subscribe)
 //! opens a long-lived subscription whose server-initiated
 //! [`PushEvent`] frames are queued as they are harvested (any `wait_*`
 //! call may park pushes as a side effect) and drained with
@@ -42,7 +42,7 @@ pub const DEFAULT_WINDOW: usize = 32;
 
 /// A request id issued by [`RemoteStoreClient`]'s `submit_*` verbs and
 /// redeemed with the matching `wait_*` verb. Client-scoped and never
-/// reused; it is the same number that rides the v2 frame header.
+/// reused; it is the same number that rides the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(pub u64);
 
@@ -56,8 +56,8 @@ impl fmt::Display for Ticket {
 /// `window` requests in flight over one transport, responses harvested
 /// out of order by request id.
 ///
-/// With `window == 1` the client degenerates to the strict call-reply
-/// behavior of the v1 protocol (every submit drains the previous
+/// With `window == 1` the client degenerates to strict call-reply
+/// behavior (every submit drains the previous
 /// response first), which is what the blocking verbs ride; the
 /// conformance suites hold both windows bit-identical to a local
 /// [`ShardedStore`](apcache_shard::ShardedStore) under θ = 1.
@@ -377,9 +377,9 @@ impl<K: KeyCodec + Ord + Clone, T: Transport> RemoteStoreClient<K, T> {
     }
 
     /// Redeem a subscribe ticket: the subscribed key's cached interval
-    /// at subscription time. On a server fault (e.g. a pre-v3 server
-    /// refusing the vocabulary) the subscription is unregistered before
-    /// the error returns.
+    /// at subscription time. On a server fault (e.g. the call-reply
+    /// `StoreServer`, which hosts no subscriptions) the subscription is
+    /// unregistered before the error returns.
     pub fn wait_subscribed(&mut self, ticket: Ticket) -> Result<Interval, RemoteError> {
         match self.wait_response(ticket)? {
             WireResponse::Subscribed { interval } => Ok(interval),
@@ -705,7 +705,7 @@ fn remote_store_err(e: RemoteError) -> apcache_store::StoreError {
 /// the mixed-backend ladder: the same ring can route some shards to
 /// in-process stores, some to runtime deployments, and some across the
 /// network through this impl, with elastic resharding migrating resident
-/// keys between all of them via the v3 export/import frames.
+/// keys between all of them via the export/import frames.
 impl<K, T> apcache_shard::ShardBackend<K> for RemoteStoreClient<K, T>
 where
     K: KeyCodec + Ord + Clone,

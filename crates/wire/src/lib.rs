@@ -1,6 +1,6 @@
 //! # apcache-wire
 //!
-//! A compact, versioned, length-prefixed binary frame protocol — plus
+//! A compact, length-prefixed binary frame protocol — plus
 //! loopback and TCP transports — so the paper's sources and caches can
 //! live in **different processes**.
 //!
@@ -30,7 +30,7 @@
 //!   [`TcpTransport`] over real sockets;
 //! * [`client`] / [`server`] — [`RemoteStoreClient`] speaks the serving
 //!   verbs over any transport, **pipelined**: `submit_*` stamps each
-//!   request with the v2 header's request id and returns a
+//!   request with the frame header's request id and returns a
 //!   [`Ticket`]; up to a window of requests ride the
 //!   connection at once and are harvested out of order with `wait_*`
 //!   (the blocking verbs are submit + wait). [`StoreServer`] fronts any
@@ -41,21 +41,20 @@
 //!   conformance suites diff the pipelined stack against. A live runtime is served by the `apcache-reactor` crate
 //!   (`serve_reactor` over TCP, `Reactor::add_connection` in process),
 //!   the one pipelined door: it fronts the runtime's ticketed surface,
-//!   replies **out of order** as the shard actors finish, and, since
-//!   v3, multiplexes **server-initiated push frames** onto the same
+//!   replies **out of order** as the shard actors finish, and
+//!   multiplexes **server-initiated push frames** onto the same
 //!   connection: `subscribe` opens a stream of
 //!   [`PushEvent`](apcache_push::PushEvent)s for one key, delivered the
 //!   moment the shard's cached interval changes (or a TTL lease
-//!   lapses). v3 also carries the **lease verbs**
+//!   lapses). The protocol also carries the **lease verbs**
 //!   (`Lease` / `ReleaseLease` / `AdvanceTime`) and the **migration
 //!   surface** (`KeyList` / `ExportKeys` / `ImportKeys`): a remote
 //!   server is a full [`ShardBackend`](apcache_shard::ShardBackend), so
 //!   an outer sharded ring can route some shards across the network and
 //!   elastic resharding moves resident keys — adaptive widths, policy
-//!   state, counters — over the wire with bit-for-bit fidelity. Version
-//!   1 and 2 frames still decode (v1 as request id 0), servers answer
-//!   old peers in their own version, and pre-v3 peers asking for any of
-//!   the v3 vocabulary get a stable `Unsupported` fault;
+//!   state, counters — over the wire with bit-for-bit fidelity. There
+//!   is one frame version, [`VERSION`]; a frame at any other version is
+//!   a decode error, fatal to its connection like any malformed frame;
 //! * [`pool`] — [`ClientPool`]: many logical clients multiplexed over a
 //!   few pipelined sockets with sticky member pinning, plus a pool-wide
 //!   shutdown that drains every socket even when some peer is dead.
@@ -105,12 +104,11 @@ pub use apcache_store::KeyCodec;
 pub use client::{RemoteAggregateOutcome, RemoteStoreClient, Ticket, DEFAULT_WINDOW};
 pub use error::{FaultKind, RemoteError, WireError, WireFault};
 pub use message::{
-    decode_frame, decode_message, encode_framed, encode_to_vec, frame_to_vec, versioned_to_vec,
-    DecodedFrame, WireExact, WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION,
-    VERSION_V1, VERSION_V2,
+    decode_frame, decode_message, encode_framed, encode_to_vec, frame_to_vec, DecodedFrame,
+    WireExact, WireMessage, WireRefresh, WireRequest, WireResponse, MAGIC, VERSION,
 };
 pub use pool::{ClientPool, PooledClient};
-pub use server::{requires_v3, v3_fault, ServerExit, StoreServer};
+pub use server::{ServerExit, StoreServer};
 pub use transport::{
     frame_bytes, loopback, loopback_streams, split_frame, LoopbackStream, LoopbackTransport,
     SplitStream, StreamTransport, TcpTransport, Transport, MAX_FRAME_LEN,

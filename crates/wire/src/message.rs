@@ -10,26 +10,23 @@
 //!   query-initiated refresh);
 //! * **[`WireMessage::Request`]** / **[`WireMessage::Response`]** — the
 //!   client ↔ store verbs (`Read`, `Write`, `WriteBatch`, `Aggregate`,
-//!   `Metrics`, `Subscribe`, `Unsubscribe`, `Shutdown`), the v3 lease
-//!   verbs (`Lease`, `ReleaseLease`, `AdvanceTime`), and the v3
+//!   `Metrics`, `Subscribe`, `Unsubscribe`, `Shutdown`), the lease
+//!   verbs (`Lease`, `ReleaseLease`, `AdvanceTime`), and the
 //!   migration surface (`KeyList`, `ExportKeys`, `ImportKeys` — a
 //!   [`KeyState`] per migrating key, so adaptive widths, counters, and
 //!   cache residency cross the wire intact) with their outcomes;
 //! * **[`WireMessage::Push`]** — a **server-initiated** frame streaming
 //!   one subscribed key's new cached interval, tagged with the
-//!   subscription's request id (the v3 push channel).
+//!   subscription's request id (the push channel).
 //!
-//! Every v2+ frame body is `magic ∥ version ∥ tag ∥ request_id ∥ fields`;
-//! the transport adds a `u32` length prefix. The **request id** is the
-//! pipelining header: clients stamp each request with a monotonically
-//! assigned id and servers echo it on the paired response, so one
-//! connection can carry a whole window of in-flight requests and answer
-//! them out of order. Version 3 adds the push vocabulary (`Subscribe` /
-//! `Unsubscribe` / `Push`); v2 frames decode unchanged, and version 1
-//! frames (no id field — the strictly call-reply protocol of the first
-//! release) still **decode**: a v1 frame reads as request id 0, and
-//! [`decode_frame`] reports the version it saw so a server can answer a
-//! v1 or v2 peer in kind. Encoding is hand-rolled fixed-width
+//! Every frame body is `magic ∥ version ∥ tag ∥ request_id ∥ fields`;
+//! the transport adds a `u32` length prefix. The version byte is always
+//! [`VERSION`] (3): it is the one format this codec emits or accepts, and
+//! any other value decodes to [`WireError::BadVersion`]. The **request
+//! id** is the pipelining header: clients stamp each request with a
+//! monotonically assigned id and servers echo it on the paired response,
+//! so one connection can carry a whole window of in-flight requests and
+//! answer them out of order. Encoding is hand-rolled fixed-width
 //! little-endian (the primitives and the [`KeyState`] layout are
 //! [`apcache_store::codec`]'s, shared with the durable spool) so
 //! `decode(encode(x)) == x` bit-for-bit, and decoding is defensive:
@@ -50,17 +47,9 @@ use crate::error::{FaultKind, WireError, WireFault};
 
 /// First byte of every frame body.
 pub const MAGIC: u8 = 0xA7;
-/// Protocol version this codec emits: v3, which adds the push vocabulary
-/// (`Subscribe` / `Unsubscribe` / `Push`) on top of the v2 request-id
-/// header.
+/// The protocol version: the second byte of every frame body, the only
+/// one this codec emits and the only one [`decode_frame`] accepts.
 pub const VERSION: u8 = 3;
-/// The pipelined-but-poll-only protocol version: request-id header, no
-/// push vocabulary. Still accepted by [`decode_frame`]; servers refuse
-/// v2 subscriptions with a stable [`FaultKind::Unsupported`] fault.
-pub const VERSION_V2: u8 = 2;
-/// The original protocol version (no request-id header). Still accepted
-/// by [`decode_frame`] — a v1 frame decodes as request id 0.
-pub const VERSION_V1: u8 = 1;
 
 const MSG_REFRESH: u8 = 1;
 const MSG_EXACT: u8 = 2;
@@ -143,7 +132,7 @@ pub enum WireRequest<K> {
     },
     /// Snapshot the server's serving metrics.
     Metrics,
-    /// Open a push subscription on `key` (v3+). The server answers with
+    /// Open a push subscription on `key`. The server answers with
     /// [`WireResponse::Subscribed`] and then streams
     /// [`WireMessage::Push`] frames under this request's id until the
     /// subscription is cancelled.
@@ -155,12 +144,12 @@ pub enum WireRequest<K> {
         /// Logical time the subscription opens.
         now: TimeMs,
     },
-    /// Cancel the subscription opened under request id `sub` (v3+).
+    /// Cancel the subscription opened under request id `sub`.
     Unsubscribe {
         /// The request id of the `Subscribe` frame to cancel.
         sub: u64,
     },
-    /// Grant (or renew) a TTL lease on `key` (v3+): the cached interval
+    /// Grant (or renew) a TTL lease on `key`: the cached interval
     /// stays trusted for `cfg.ttl_ms` after the last source contact, then
     /// widens to the configured fallback.
     Lease {
@@ -171,41 +160,41 @@ pub enum WireRequest<K> {
         /// Logical time of the grant.
         now: TimeMs,
     },
-    /// Release the lease on `key` (v3+).
+    /// Release the lease on `key`.
     ReleaseLease {
         /// Key whose lease is dropped.
         key: K,
         /// Logical time of the release.
         now: TimeMs,
     },
-    /// Advance the server's push-side logical clock (v3+): lapsed leases
+    /// Advance the server's push-side logical clock: lapsed leases
     /// widen their intervals and push.
     AdvanceTime {
         /// The new logical time.
         now: TimeMs,
     },
     /// List every key registered on the server, in deterministic (sorted)
-    /// order (v3+) — the discovery half of the migration surface.
+    /// order — the discovery half of the migration surface.
     KeyList,
-    /// Detach `keys` with their complete per-key protocol state (v3+):
+    /// Detach `keys` with their complete per-key protocol state:
     /// the export half of live migration. Atomic server-side — a single
     /// unknown key exports nothing.
     ExportKeys {
         /// Keys to detach.
         keys: Vec<K>,
     },
-    /// Attach keys previously detached from another shard (v3+): the
+    /// Attach keys previously detached from another shard: the
     /// import half of live migration.
     ImportKeys {
         /// The migrating keys' full protocol state.
         states: Vec<KeyState<K>>,
     },
-    /// Scrape the server's full Prometheus-style text exposition (v3+):
+    /// Scrape the server's full Prometheus-style text exposition:
     /// store rollups, push occupancy, and every runtime/wire series in
     /// one deterministic document.
     Exposition,
     /// Snapshot push-side occupancy (subscribers, watched keys, leases)
-    /// *without* advancing the logical clock (v3+) — the read-only twin
+    /// *without* advancing the logical clock — the read-only twin
     /// of [`WireRequest::AdvanceTime`].
     PushStats,
     /// Orderly connection shutdown: the server acknowledges and stops
@@ -332,10 +321,30 @@ pub enum WireMessage<K> {
     Request(WireRequest<K>),
     /// Server → client outcome.
     Response(WireResponse<K>),
-    /// Server → client push (v3+): a subscribed key's cached interval
+    /// Server → client push: a subscribed key's cached interval
     /// changed (or its lease lapsed). Carries the subscription's request
     /// id in the frame header so the client can route it.
     Push(PushEvent<K>),
+}
+
+impl<K> WireMessage<K> {
+    /// The request a serving endpoint received, or the fault it answers
+    /// with when a peer sends a frame of another role — paper-vocabulary
+    /// `Refresh`/`Exact`, a `Response` or a server-initiated `Push`. The
+    /// vocabulary is shared, the roles are not; the fault is an answer,
+    /// not a disconnect.
+    pub fn into_request(self) -> Result<WireRequest<K>, WireFault> {
+        match self {
+            WireMessage::Request(request) => Ok(request),
+            WireMessage::Refresh(_)
+            | WireMessage::Exact(_)
+            | WireMessage::Response(_)
+            | WireMessage::Push(_) => Err(WireFault::new(
+                FaultKind::Unsupported,
+                "this endpoint serves requests; push frames have no meaning here",
+            )),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -561,25 +570,15 @@ fn read_push_report(r: &mut Reader<'_>) -> Result<PushReport, WireError> {
 // Frame codecs.
 // ---------------------------------------------------------------------
 
-/// One frame body at `version` in a fresh buffer. The request id is
-/// written for v2 and later (v1 frames have no slot for it); the
-/// transport adds the length prefix.
-pub fn versioned_to_vec<K: KeyCodec + Ord + Clone>(
-    version: u8,
-    request_id: u64,
-    msg: &WireMessage<K>,
-) -> Vec<u8> {
+/// One frame body in a fresh buffer; the transport adds the length
+/// prefix.
+pub fn frame_to_vec<K: KeyCodec + Ord + Clone>(request_id: u64, msg: &WireMessage<K>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    encode_with_version(version, request_id, msg, &mut buf);
+    encode_body(request_id, msg, &mut buf);
     buf
 }
 
-/// Convenience: encode a current-version frame into a fresh buffer.
-pub fn frame_to_vec<K: KeyCodec + Ord + Clone>(request_id: u64, msg: &WireMessage<K>) -> Vec<u8> {
-    versioned_to_vec(VERSION, request_id, msg)
-}
-
-/// Encode one *length-prefixed* frame at `version` directly into a
+/// Encode one *length-prefixed* frame directly into a
 /// caller-owned buffer: `u32-LE length ∥ body`, appended to `out`. This
 /// is the zero-copy entry point for event-driven servers that coalesce
 /// many frames into one socket write — the length slot is reserved
@@ -587,28 +586,26 @@ pub fn frame_to_vec<K: KeyCodec + Ord + Clone>(request_id: u64, msg: &WireMessag
 /// pass with no intermediate `Vec` per frame. Returns the number of
 /// bytes appended (prefix + body).
 pub fn encode_framed<K: KeyCodec + Ord + Clone>(
-    version: u8,
     request_id: u64,
     msg: &WireMessage<K>,
     out: &mut Vec<u8>,
 ) -> usize {
     let prefix_at = out.len();
     out.extend_from_slice(&[0u8; 4]); // length slot, backfilled below
-    encode_with_version(version, request_id, msg, out);
+    encode_body(request_id, msg, out);
     let body_len = out.len() - prefix_at - 4;
     let len = u32::try_from(body_len).expect("frame body exceeds u32 length prefix");
     out[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
     body_len + 4
 }
 
-fn encode_with_version<K: KeyCodec + Ord + Clone>(
-    version: u8,
+fn encode_body<K: KeyCodec + Ord + Clone>(
     request_id: u64,
     msg: &WireMessage<K>,
     buf: &mut Vec<u8>,
 ) {
     put_u8(buf, MAGIC);
-    put_u8(buf, version);
+    put_u8(buf, VERSION);
     let tag = match msg {
         WireMessage::Refresh(_) => MSG_REFRESH,
         WireMessage::Exact(_) => MSG_EXACT,
@@ -617,10 +614,7 @@ fn encode_with_version<K: KeyCodec + Ord + Clone>(
         WireMessage::Push(_) => MSG_PUSH,
     };
     put_u8(buf, tag);
-    if version >= VERSION_V2 {
-        // The pipelining header: v1 frames have no slot for it.
-        put_u64(buf, request_id);
-    }
+    put_u64(buf, request_id);
     match msg {
         WireMessage::Refresh(refresh) => {
             put_refresh(buf, refresh);
@@ -765,29 +759,25 @@ pub fn encode_to_vec<K: KeyCodec + Ord + Clone>(msg: &WireMessage<K>) -> Vec<u8>
     frame_to_vec(0, msg)
 }
 
-/// One decoded frame: the message, the request id that correlates it
-/// across a pipelined connection (0 for v1 frames, which predate the
-/// header), and the version the peer spoke (so servers can answer v1
-/// peers in v1).
+/// One decoded frame: the message and the request id that correlates it
+/// across a pipelined connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedFrame<K> {
-    /// The pipelining correlation id (0 on v1 frames).
+    /// The pipelining correlation id.
     pub request_id: u64,
-    /// The protocol version the frame was encoded at.
-    pub version: u8,
     /// The decoded message.
     pub msg: WireMessage<K>,
 }
 
-/// Decode one frame body's message, discarding the pipelining header —
-/// the v1-shaped convenience decoder (see [`decode_frame`] for the id).
+/// Decode one frame body's message, discarding the pipelining header
+/// (see [`decode_frame`] for the id).
 pub fn decode_message<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<WireMessage<K>, WireError> {
     decode_frame(body).map(|frame| frame.msg)
 }
 
-/// Decode one frame body produced by [`frame_to_vec`] (v3), a v2 peer,
-/// **or** the original release's v1 encoder — v1 frames carry no
-/// request id and decode as id 0. Strict: the whole input must be consumed
+/// Decode one frame body produced by [`frame_to_vec`] or
+/// [`encode_framed`]. Strict: a version byte other than [`VERSION`] is
+/// [`WireError::BadVersion`], the whole input must be consumed
 /// ([`WireError::TrailingBytes`] otherwise), and any malformed input
 /// returns a [`WireError`] — never a panic.
 pub fn decode_frame<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<DecodedFrame<K>, WireError> {
@@ -797,7 +787,7 @@ pub fn decode_frame<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<DecodedFra
         return Err(WireError::BadMagic(magic));
     }
     let version = r.u8()?;
-    if version != VERSION && version != VERSION_V2 && version != VERSION_V1 {
+    if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
     let tag = r.u8()?;
@@ -806,7 +796,7 @@ pub fn decode_frame<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<DecodedFra
         // stream is junk, and the header that follows it is too.
         return Err(WireError::UnknownTag { context: "message", tag });
     }
-    let request_id = if version >= VERSION_V2 { r.u64()? } else { 0 };
+    let request_id = r.u64()?;
     let msg = match tag {
         MSG_REFRESH => WireMessage::Refresh(read_refresh(&mut r)?),
         MSG_EXACT => {
@@ -897,7 +887,7 @@ pub fn decode_frame<K: KeyCodec + Ord + Clone>(body: &[u8]) -> Result<DecodedFra
         tag => return Err(WireError::UnknownTag { context: "message", tag }),
     };
     r.finish()?;
-    Ok(DecodedFrame { request_id, version, msg })
+    Ok(DecodedFrame { request_id, msg })
 }
 
 #[cfg(test)]
@@ -945,10 +935,9 @@ mod tests {
 
     #[test]
     fn key_refreshes_keep_the_u32_layout() {
-        // Satellite check: the generic WireRefresh<K> with K = Key must
-        // encode byte-identically to the old hardcoded `put_u32(key.0)`
-        // layout, so pre-v3 Refresh frames from Key-typed peers still
-        // mean the same bytes.
+        // The generic WireRefresh<K> with K = Key must encode
+        // byte-identically to the old hardcoded `put_u32(key.0)` layout,
+        // so Refresh frames from Key-typed peers keep their bytes.
         let refresh = Refresh {
             key: Key(0xDEAD_BEEF),
             spec: ApproxSpec::Constant(Interval::new(1.0, 2.0).unwrap()),
@@ -1072,7 +1061,7 @@ mod tests {
     fn nan_interval_bounds_are_rejected() {
         // Hand-build a Refresh frame whose interval smuggles a NaN bound.
         let mut body = vec![MAGIC, VERSION, MSG_REFRESH];
-        put_u64(&mut body, 0); // request id (v2+ header)
+        put_u64(&mut body, 0); // request id
         put_str(&mut body, "k"); // key
         put_u8(&mut body, 0); // ApproxSpec::Constant
         put_u64(&mut body, f64::NAN.to_bits());
@@ -1092,7 +1081,6 @@ mod tests {
             let body = frame_to_vec(id, &msg);
             let frame = decode_frame::<String>(&body).unwrap();
             assert_eq!(frame.request_id, id);
-            assert_eq!(frame.version, VERSION);
             assert_eq!(frame.msg, msg);
             // Canonical: re-encoding reproduces the bytes.
             assert_eq!(frame_to_vec(frame.request_id, &frame.msg), body);
@@ -1107,47 +1095,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode() {
-        // Every message family, encoded with the previous release's
-        // layout (no request-id header), decodes as request id 0 and
-        // reports version 1 so a server can reply in kind.
-        let messages: Vec<WireMessage<String>> = vec![
-            WireMessage::Refresh(WireRefresh {
-                key: "a".to_string(),
-                spec: ApproxSpec::Constant(Interval::new(1.0, 2.0).unwrap()),
-                internal_width: 1.0,
-            }),
-            WireMessage::Request(WireRequest::Read {
-                key: "a".into(),
-                constraint: Constraint::Absolute(2.0),
-                now: 7,
-            }),
-            WireMessage::Request(WireRequest::Shutdown),
-            WireMessage::Response(WireResponse::Write(WriteOutcome { refreshes: 1 })),
-            WireMessage::Response(WireResponse::ShutdownAck),
-        ];
-        for msg in messages {
-            let v1 = versioned_to_vec(VERSION_V1, 0, &msg);
-            assert_eq!(v1[1], VERSION_V1);
-            let frame = decode_frame::<String>(&v1).unwrap();
-            assert_eq!(frame.request_id, 0);
-            assert_eq!(frame.version, VERSION_V1);
-            assert_eq!(frame.msg, msg);
-            // And the v1 re-encode is canonical too.
-            assert_eq!(versioned_to_vec(VERSION_V1, 0, &frame.msg), v1);
-            // The v2+ encoding of the same message is 8 bytes longer —
-            // exactly the id field.
-            assert_eq!(frame_to_vec(0, &frame.msg).len(), v1.len() + 8);
-        }
-    }
-
-    #[test]
     fn unknown_versions_are_still_rejected() {
+        // Every byte but VERSION is refused at the header, before any
+        // field is read — 1 and 2 (earlier layouts) included.
         let mut body = encode_to_vec::<String>(&WireMessage::Request(WireRequest::Metrics));
-        body[1] = 4; // a future version
-        assert_eq!(decode_frame::<String>(&body), Err(WireError::BadVersion(4)));
-        body[1] = 0;
-        assert_eq!(decode_frame::<String>(&body), Err(WireError::BadVersion(0)));
+        assert_eq!(body[1], VERSION);
+        for version in [0u8, 1, 2, 4] {
+            body[1] = version;
+            assert_eq!(decode_frame::<String>(&body), Err(WireError::BadVersion(version)));
+        }
     }
 
     #[test]
@@ -1367,29 +1323,6 @@ mod tests {
         let body = frame_to_vec(41, &msg);
         let frame = decode_frame::<String>(&body).unwrap();
         assert_eq!(frame.request_id, 41);
-        assert_eq!(frame.version, VERSION);
         assert_eq!(frame.msg, msg);
-    }
-
-    #[test]
-    fn v2_frames_still_decode_and_reject_push_vocabulary() {
-        // A v2 peer's frames (request-id header, pre-push vocabulary)
-        // decode unchanged and report version 2.
-        let msg: WireMessage<String> = WireMessage::Request(WireRequest::Read {
-            key: "a".into(),
-            constraint: Constraint::Absolute(2.0),
-            now: 7,
-        });
-        let body = versioned_to_vec(VERSION_V2, 9, &msg);
-        assert_eq!(body[1], VERSION_V2);
-        let frame = decode_frame::<String>(&body).unwrap();
-        assert_eq!((frame.request_id, frame.version), (9, VERSION_V2));
-        assert_eq!(frame.msg, msg);
-        // v3 and v2 encodings differ only in the version byte — same
-        // header shape, same fields.
-        let v3 = frame_to_vec(9, &msg);
-        assert_eq!(v3.len(), body.len());
-        assert_ne!(v3[1], body[1]);
-        assert_eq!(v3[2..], body[2..]);
     }
 }

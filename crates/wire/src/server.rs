@@ -9,38 +9,8 @@ use apcache_store::KeyCodec;
 use apcache_telemetry::Exposition;
 
 use crate::error::{WireError, WireFault};
-use crate::message::{decode_frame, versioned_to_vec, WireMessage, WireRequest, WireResponse};
+use crate::message::{decode_frame, frame_to_vec, WireMessage, WireRequest, WireResponse};
 use crate::transport::Transport;
-
-/// Whether a request verb entered the vocabulary at protocol v3 — the
-/// lease and migration surface. The codec is version-agnostic on frame
-/// bodies, so the *server* gates: pre-v3 peers get the same stable
-/// `Unsupported` fault subscriptions already get, never a response frame
-/// their decoder lacks. (`Subscribe` is gated separately: its refusal
-/// message names the pipelined requirement.) Public so both dispatchers —
-/// [`StoreServer::serve`] and the reactor's connection state machine —
-/// apply the identical gate.
-pub fn requires_v3<K>(request: &WireRequest<K>) -> bool {
-    matches!(
-        request,
-        WireRequest::Lease { .. }
-            | WireRequest::ReleaseLease { .. }
-            | WireRequest::AdvanceTime { .. }
-            | WireRequest::KeyList
-            | WireRequest::ExportKeys { .. }
-            | WireRequest::ImportKeys { .. }
-            | WireRequest::Exposition
-            | WireRequest::PushStats
-    )
-}
-
-/// The stable fault pre-v3 peers get for v3-only verbs.
-pub fn v3_fault() -> WireFault {
-    WireFault::new(
-        crate::error::FaultKind::Unsupported,
-        "lease, migration, and telemetry verbs require protocol v3",
-    )
-}
 
 /// Why a serving loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +54,7 @@ impl<S> StoreServer<S> {
     /// Serve `transport` until the client sends `Shutdown`, disconnects,
     /// or the stream desynchronizes. Requests are dispatched strictly in
     /// arrival order on this thread, and responses echo each request's
-    /// id and version. This loop is built for **call-reply clients**:
+    /// id. This loop is built for **call-reply clients**:
     /// because it stops reading while it dispatches and sends, a client
     /// that pushes a deep window of large frames without draining
     /// responses can fill both sockets' kernel buffers and deadlock the
@@ -110,40 +80,17 @@ impl<S> StoreServer<S> {
                 Err(e) => return Err(e),
             };
             let frame = decode_frame::<K>(&body)?;
-            // Responses are encoded at the version the request arrived
-            // in, echoing its id: a v1 peer gets v1 replies it can
-            // decode, a v2 peer gets its correlation header back.
-            let (id, version) = (frame.request_id, frame.version);
-            let request = match frame.msg {
-                WireMessage::Request(request) => request,
-                // A peer pushing paper-vocabulary frames (Refresh /
-                // ExactResponse) or server-initiated push frames at a
-                // serving endpoint is answered with a fault rather than
-                // dropped: the vocabulary is shared, the roles are not.
-                WireMessage::Refresh(_)
-                | WireMessage::Exact(_)
-                | WireMessage::Response(_)
-                | WireMessage::Push(_) => {
-                    let fault = WireFault::new(
-                        crate::error::FaultKind::Unsupported,
-                        "this endpoint serves requests; push frames have no meaning here",
-                    );
-                    transport.send(&versioned_to_vec::<K>(
-                        version,
+            let id = frame.request_id;
+            let request = match frame.msg.into_request() {
+                Ok(request) => request,
+                Err(fault) => {
+                    transport.send(&frame_to_vec::<K>(
                         id,
                         &WireMessage::Response(WireResponse::Error(fault)),
                     ))?;
                     continue;
                 }
             };
-            if requires_v3(&request) && version < crate::message::VERSION {
-                transport.send(&versioned_to_vec::<K>(
-                    version,
-                    id,
-                    &WireMessage::Response(WireResponse::Error(v3_fault())),
-                ))?;
-                continue;
-            }
             // Verbs the backend serves come back as `Result<_, StoreError>`;
             // the faults this loop raises itself are already responses.
             let outcome = match request {
@@ -164,12 +111,11 @@ impl<S> StoreServer<S> {
                 WireRequest::Metrics => self.service.metrics_snapshot().map(WireResponse::Metrics),
                 // The sequential call-reply loop cannot interleave
                 // server-initiated frames with replies, so it cannot
-                // host subscriptions — refuse them with the same stable
-                // fault a v2 peer would get from the pipelined server.
+                // host subscriptions — refuse them with a stable fault.
                 WireRequest::Subscribe { .. } | WireRequest::Unsubscribe { .. } => {
                     Ok(WireResponse::Error(WireFault::new(
                         crate::error::FaultKind::Unsupported,
-                        "push subscriptions need a pipelined (v3) connection",
+                        "push subscriptions need a pipelined connection",
                     )))
                 }
                 // Lease tables and the push-side clock live in the actor
@@ -194,8 +140,7 @@ impl<S> StoreServer<S> {
                     WireResponse::Exposition(out.finish())
                 }),
                 WireRequest::Shutdown => {
-                    transport.send(&versioned_to_vec::<K>(
-                        version,
+                    transport.send(&frame_to_vec::<K>(
                         id,
                         &WireMessage::Response(WireResponse::ShutdownAck),
                     ))?;
@@ -203,7 +148,7 @@ impl<S> StoreServer<S> {
                 }
             };
             let response = outcome.unwrap_or_else(|e| WireResponse::Error(e.into()));
-            transport.send(&versioned_to_vec(version, id, &WireMessage::Response(response)))?;
+            transport.send(&frame_to_vec(id, &WireMessage::Response(response)))?;
         }
     }
 }

@@ -115,7 +115,7 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
     }
 }
 
-/// A v2+ frame header: magic ∥ version ∥ tag ∥ request-id (0).
+/// A frame header: magic ∥ version ∥ tag ∥ request-id (0).
 fn header(tag: u8) -> Vec<u8> {
     let mut body = vec![MAGIC, VERSION, tag];
     body.extend_from_slice(&0u64.to_le_bytes());
@@ -162,13 +162,8 @@ fn forged_sequence_counts_cannot_balloon_memory() {
 
 #[test]
 fn nan_and_inverted_intervals_cannot_cross_the_wire() {
-    // Exercised at every decodable version: the v1 layout (no request-id
-    // field) must stay rejected-or-accepted exactly like v2/v3.
-    let make = |version: u8, lo: f64, hi: f64| {
-        let mut body = vec![MAGIC, version, 1]; // Refresh
-        if version >= 2 {
-            body.extend_from_slice(&0u64.to_le_bytes()); // request id
-        }
+    let make = |lo: f64, hi: f64| {
+        let mut body = header(1); // Refresh
         body.extend_from_slice(&1u32.to_le_bytes()); // key: "k"
         body.push(b'k');
         body.push(0); // ApproxSpec::Constant
@@ -177,18 +172,13 @@ fn nan_and_inverted_intervals_cannot_cross_the_wire() {
         body.extend_from_slice(&4.0f64.to_bits().to_le_bytes()); // width
         body
     };
-    for version in [1u8, 2, VERSION] {
-        assert!(matches!(
-            decode_message::<String>(&make(version, f64::NAN, 1.0)),
-            Err(WireError::InvalidPayload(_))
-        ));
-        assert!(matches!(
-            decode_message::<String>(&make(version, 2.0, 1.0)),
-            Err(WireError::InvalidPayload(_))
-        ));
-        // ±∞ bounds are legal protocol values, not attacks.
-        assert!(decode_message::<String>(&make(version, f64::NEG_INFINITY, f64::INFINITY)).is_ok());
-    }
+    assert!(matches!(
+        decode_message::<String>(&make(f64::NAN, 1.0)),
+        Err(WireError::InvalidPayload(_))
+    ));
+    assert!(matches!(decode_message::<String>(&make(2.0, 1.0)), Err(WireError::InvalidPayload(_))));
+    // ±∞ bounds are legal protocol values, not attacks.
+    assert!(decode_message::<String>(&make(f64::NEG_INFINITY, f64::INFINITY)).is_ok());
 }
 
 #[test]

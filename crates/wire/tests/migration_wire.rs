@@ -1,8 +1,8 @@
-//! The call-reply `StoreServer` and the v3 vocabulary: any
+//! The call-reply `StoreServer` and the migration vocabulary: any
 //! `ShardBackend` behind it — a plain store, a sharded fleet — serves the
-//! migration trio and refuses leases with a stable fault. (Leases, the
-//! pre-v3 gate, mixed local/remote rings and pool drains over a
-//! pipelined connection are covered in `apcache-reactor`.)
+//! migration trio and refuses leases with a stable fault. (Leases, mixed
+//! local/remote rings and pool drains over a pipelined connection are
+//! covered in `apcache-reactor`.)
 
 use std::thread;
 

@@ -8,7 +8,7 @@
 //! same idea across a real TCP socket: a `RemoteStoreClient` with an
 //! in-flight window keeps many requests on the wire at once, and the
 //! pipelined server (`serve_reactor`) answers them as the shard
-//! actors finish, correlated by the v2 frame header's request id.
+//! actors finish, correlated by the frame header's request id.
 //!
 //! Run with: `cargo run --example pipelined_clients`
 

@@ -1,4 +1,4 @@
-//! Pipelining conformance: a windowed client speaking the v2 wire
+//! Pipelining conformance: a windowed client speaking the wire
 //! protocol to the out-of-order pipelined server (a `Reactor` in front
 //! of the actor runtime) must be **bit-identical** to the same
 //! operation sequence issued sequentially against a local
