@@ -33,9 +33,16 @@ use crate::poller::{build_poller, Interest, PollEvents, Poller, PollerKind, RawF
 /// stream calls back when bytes arrive — the loopback transport's
 /// mode). Implemented for [`std::net::TcpStream`] and
 /// [`LoopbackStream`](apcache_wire::LoopbackStream).
+///
+/// A worker readies each stream once, when it adopts it, with
+/// [`adopt`](ReactorStream::adopt); a stream that cannot be readied is
+/// closed unserved.
 pub trait ReactorStream: Read + Write + Send + 'static {
-    /// Switch the stream's read/write calls to nonblocking mode.
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    /// Ready the stream for the reactor: nonblocking reads and writes,
+    /// and on TCP Nagle's algorithm off. Each round already coalesces a
+    /// connection's ready frames into one write, so Nagle could only
+    /// hold a reply back until the peer's delayed ACK.
+    fn adopt(&self) -> io::Result<()>;
 
     /// The raw fd a kernel poller can watch, if the stream has one.
     fn raw_fd(&self) -> Option<RawFd>;
@@ -48,8 +55,9 @@ pub trait ReactorStream: Read + Write + Send + 'static {
 }
 
 impl ReactorStream for std::net::TcpStream {
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        std::net::TcpStream::set_nonblocking(self, nonblocking)
+    fn adopt(&self) -> io::Result<()> {
+        self.set_nonblocking(true)?;
+        self.set_nodelay(true)
     }
 
     #[cfg(unix)]
@@ -68,8 +76,8 @@ impl ReactorStream for std::net::TcpStream {
 }
 
 impl ReactorStream for apcache_wire::LoopbackStream {
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        apcache_wire::LoopbackStream::set_nonblocking(self, nonblocking);
+    fn adopt(&self) -> io::Result<()> {
+        self.set_nonblocking(true);
         Ok(())
     }
 
@@ -260,8 +268,10 @@ impl<S: ReactorStream> Reactor<S> {
     }
 
     /// Hand one connection to the next worker in round-robin order. The
-    /// stream is switched to nonblocking and registered by the worker
-    /// itself on its next wake-up.
+    /// worker adopts it on its next wake-up: it readies the stream with
+    /// [`ReactorStream::adopt`] (nonblocking mode, plus Nagle off on
+    /// TCP) and registers it. A stream that cannot be readied is closed
+    /// instead.
     pub fn add_connection(&self, stream: S) {
         let index =
             self.shared.round_robin.fetch_add(1, Ordering::Relaxed) % self.shared.mailboxes.len();
@@ -346,8 +356,13 @@ fn worker_loop<K, S>(
             inbox.drain(..).collect()
         };
         for stream in injected {
+            // A stream left blocking would park this worker, and every
+            // connection it owns, on its first read. Dropping it closes
+            // it unserved.
+            if stream.adopt().is_err() {
+                continue;
+            }
             let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_nonblocking(true);
             let marker = Arc::clone(&ready_marker);
             stream.set_ready_hook(Some(Arc::new(move || marker(token))));
             let _ = poller.register(token, stream.raw_fd(), Interest::Read);
@@ -548,9 +563,6 @@ fn worker_loop<K, S>(
 /// fixed worker pool multiplexes every connection, so one process holds
 /// 10k+ connections open. An `accept` error ends the loop the same way,
 /// draining and joining every worker, and is then returned.
-///
-/// Accepted sockets are served as accepted: `TCP_NODELAY` is **not**
-/// set on them (see the README's note on the gap).
 pub fn serve_reactor<K>(
     listener: TcpListener,
     handle: RuntimeHandle<K>,

@@ -4,8 +4,9 @@
 //! streams and their exact fan-out at 100 and 10 000 subscriptions,
 //! the lease/telemetry/migration verbs, a frame at another protocol
 //! version closing its connection, disconnect hygiene, listener
-//! teardown, a remote server living as one shard of a mixed ring, and a
-//! pool draining past a dead member.
+//! teardown, Nagle off on every adopted TCP socket, a remote server
+//! living as one shard of a mixed ring, and a pool draining past a dead
+//! member.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -475,6 +476,29 @@ fn adopt_one(runtime: &Runtime<u64>, listener: &TcpListener) -> Reactor<TcpStrea
     let reactor = Reactor::launch(&runtime.handle(), ReactorConfig::default()).unwrap();
     reactor.add_connection(listener.accept().unwrap().0);
     reactor
+}
+
+#[test]
+fn an_adopted_tcp_socket_has_nagle_off() {
+    let runtime = fleet([(1u64, 100.0)]);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client: RemoteStoreClient<u64, _> =
+        RemoteStoreClient::new(TcpTransport::connect(listener.local_addr().unwrap()).unwrap());
+    let server_end = listener.accept().unwrap().0;
+    let probe = server_end.try_clone().unwrap();
+    assert!(!probe.nodelay().unwrap(), "an accepted socket starts with Nagle on");
+
+    let reactor = Reactor::launch(&runtime.handle(), ReactorConfig::default()).unwrap();
+    reactor.add_connection(server_end);
+    // An answer means the worker has adopted the socket.
+    client.read(&1, Constraint::Exact, 0).unwrap();
+    assert!(probe.nodelay().unwrap(), "the reactor adopted the socket with Nagle on");
+
+    // The clone would keep the server's close from reaching the client.
+    drop(probe);
+    client.shutdown().unwrap();
+    finish(reactor, &runtime, true);
+    runtime.shutdown().unwrap();
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Where the bytes of a pipeline fall must not matter: the reply stream
 //! is the same whether the requests arrive in one write or split at any
-//! byte, and a FIN straight after a full window loses no request.
+//! byte, and a FIN straight after a full window loses no request. A
+//! stream the worker cannot ready is closed without stalling the worker.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -14,9 +15,10 @@ use apcache_reactor::{RawFd, Reactor, ReactorConfig, ReactorStream};
 use apcache_runtime::{Runtime, RuntimeConfig};
 use apcache_shard::ShardedStoreBuilder;
 use apcache_store::{Constraint, InitialWidth};
+use apcache_telemetry::TraceKind;
 use apcache_wire::{
-    decode_frame, encode_framed, loopback_streams, split_frame, LoopbackStream, WireMessage,
-    WireRequest, WireResponse,
+    decode_frame, encode_framed, loopback_streams, split_frame, LoopbackStream, RemoteStoreClient,
+    StreamTransport, WireMessage, WireRequest, WireResponse,
 };
 
 /// One shard, so completions leave the single actor in submission order
@@ -38,9 +40,17 @@ fn one_shard(config: RuntimeConfig) -> Runtime<u64> {
 /// to run the state machine over exactly that — the client waits for it
 /// before writing the next piece, which makes every cut a real partial
 /// buffer on the server rather than a race with the worker's wake-up.
+/// With `refuse_adopt` set it is a stream that cannot be readied.
 struct Observed {
     inner: LoopbackStream,
     drained: Arc<AtomicUsize>,
+    refuse_adopt: bool,
+}
+
+impl Observed {
+    fn new(inner: LoopbackStream) -> Self {
+        Observed { inner, drained: Arc::default(), refuse_adopt: false }
+    }
 }
 
 impl Read for Observed {
@@ -64,9 +74,11 @@ impl Write for Observed {
 }
 
 impl ReactorStream for Observed {
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.inner.set_nonblocking(nonblocking);
-        Ok(())
+    fn adopt(&self) -> io::Result<()> {
+        if self.refuse_adopt {
+            return Err(io::Error::other("this stream cannot be readied"));
+        }
+        self.inner.adopt()
     }
 
     fn raw_fd(&self) -> Option<RawFd> {
@@ -118,8 +130,9 @@ fn replies(pieces: &[&[u8]]) -> Vec<u8> {
     let config = ReactorConfig { workers: 1, ..ReactorConfig::default() };
     let reactor: Reactor<Observed> = Reactor::launch(&runtime.handle(), config).unwrap();
     let (server_end, mut client) = loopback_streams();
-    let drained = Arc::new(AtomicUsize::new(0));
-    reactor.add_connection(Observed { inner: server_end, drained: Arc::clone(&drained) });
+    let server_end = Observed::new(server_end);
+    let drained = Arc::clone(&server_end.drained);
+    reactor.add_connection(server_end);
 
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut seen = 0; // the adoption round's empty read comes first
@@ -173,6 +186,39 @@ fn reply_stream_is_identical_for_every_byte_boundary_split() {
     }
     let singles: Vec<&[u8]> = bytes.chunks(1).collect();
     assert_eq!(replies(&singles), whole, "one byte per write");
+}
+
+#[test]
+fn a_stream_that_cannot_be_readied_is_closed_and_the_worker_serves_on() {
+    let runtime = one_shard(RuntimeConfig::default());
+    let handle = runtime.handle();
+    let open = handle.telemetry().registry().gauge("apcache_connections_open", "", &[]);
+    let conn_opens = || {
+        let trace = handle.telemetry().trace().dump();
+        trace.iter().filter(|e| e.kind == TraceKind::ConnOpen).count()
+    };
+    let config = ReactorConfig { workers: 1, ..ReactorConfig::default() };
+    let reactor: Reactor<Observed> = Reactor::launch(&handle, config).unwrap();
+
+    let (server_end, mut refused) = loopback_streams();
+    reactor.add_connection(Observed { refuse_adopt: true, ..Observed::new(server_end) });
+    let mut out = Vec::new();
+    refused.read_to_end(&mut out).unwrap();
+    assert!(out.is_empty(), "the worker closed the stream without serving it");
+    assert_eq!((open.get(), conn_opens()), (0, 0));
+
+    // A blocking stream would have parked the one worker on its first
+    // read; the next connection is answered.
+    let (server_end, client_end) = loopback_streams();
+    reactor.add_connection(Observed::new(server_end));
+    let mut client: RemoteStoreClient<u64, _> =
+        RemoteStoreClient::new(StreamTransport::new(client_end));
+    assert!(client.read(&1, Constraint::Exact, 0).unwrap().answer.contains(100.0));
+    assert_eq!((open.get(), conn_opens()), (1, 1));
+    drop(client);
+    reactor.join();
+    assert_eq!(open.get(), 0);
+    runtime.shutdown().unwrap();
 }
 
 #[test]
